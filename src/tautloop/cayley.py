@@ -70,11 +70,11 @@ class BBOracle:
     """
 
     def __init__(self, complex_):
-        self.complex = complex_
+        self.map = normal_forms.BBMap(complex_)
         self.tag = f"bb({','.join(complex_.vertices)})"
 
     def normal_form(self, w: Word):
-        return normal_forms.bb_image(self.complex, w)
+        return self.map.normal_form(w)
 
 
 class ZModOracle:

@@ -42,6 +42,7 @@ from .word_engine import (
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
+EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
@@ -277,18 +278,32 @@ def cmd_semiker(args) -> int:
     return EXIT_OK if report.passed else EXIT_REFUTED
 
 
+def _report_claims(data) -> list:
+    """Claims of a spectrum report, of {"claims": [...]}, or of a bare list."""
+    if isinstance(data, list):
+        return data
+    if "statuses" in data:
+        return [claim for status in data["statuses"] for claim in status["claims"]]
+    return data["claims"]
+
+
 def cmd_verify_cert(args) -> int:
-    data = _load_json(args.report)
-    claims = data["claims"] if isinstance(data, dict) else data
     failures = 0
     checked = 0
-    for claim in claims:
-        pres = GroupPresentation.from_json(claim["presentation"])
-        verdict = TriState.from_json(claim["verdict"])
-        checked += 1
-        if not verify_certificate(pres, verdict):
-            failures += 1
-            sys.stderr.write(f"certificate failed for word {claim['word']}\n")
+    try:
+        for claim in _report_claims(_load_json(args.report)):
+            w = words.from_json(claim["word"])
+            pres = GroupPresentation.from_json(claim["presentation"])
+            verdict = TriState.from_json(claim["verdict"])
+            checked += 1
+            cert = verdict.certificate
+            # a certificate proves something only about the word it carries
+            if (cert is not None and cert.word != w) or not verify_certificate(pres, verdict):
+                failures += 1
+                sys.stderr.write(f"certificate failed for word {claim['word']}\n")
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        sys.stderr.write(f"malformed report {args.report}: {type(exc).__name__}: {exc}\n")
+        return EXIT_USAGE
     _emit({"checked": checked, "failures": failures}, args.out)
     return EXIT_OK if failures == 0 else EXIT_REFUTED
 

@@ -1,13 +1,19 @@
-"""Exact, always-terminating word-problem engines.
+"""Exact, always-terminating word-problem engines for right-angled groups.
 
-Right-angled Coxeter words reduce by Tits moves (delete vv, swap commuting
-pairs); right-angled Artin words by the analogous piling moves.  Both engines
-work in two phases: greedy left-to-right piling that cancels whenever a
-matching letter is reachable through commutations (this yields some reduced
-representative), then extraction of the lexicographically least word in the
-commutation class; repeatedly pick the smallest letter all of whose
-predecessors commute with it.  Two words are equal in the group iff their
-canonical forms coincide.
+One engine serves right-angled Artin and Coxeter groups; in the Coxeter case
+every letter is its own inverse.  It keeps the lexicographically least word
+of the commutation class (the lexicographic normal form of the trace monoid,
+Cartier-Foata 1969) one letter at a time.  Appending a letter c:
+
+- cancel: scan left from the end across letters that commute with c; if the
+  first letter that does not is c's inverse, delete it (it commuted with
+  everything after it, so the rest stays lexicographically least).
+- insert: otherwise c may sit anywhere after that letter; put it before the
+  first later letter of a larger generator.  Those later letters commute
+  with c, so none shares its generator and the sign never decides.
+
+Two words are equal in the group iff their normal forms coincide.  Appending
+costs O(n), a whole word O(n^2).
 """
 
 from __future__ import annotations
@@ -21,61 +27,63 @@ class NormalFormError(ValueError):
     pass
 
 
-class TitsEngine:
-    """Canonical forms in the right-angled Coxeter group of a graph.
+class RightAngledEngine:
+    """Lexicographic normal forms in a right-angled Artin or Coxeter group.
 
-    Letters are vertex indices; every generator is an involution.
+    A letter is an int whose absolute value indexes a generator; ``first``
+    is the index of the first vertex.  Involutive letters are their own
+    inverses, otherwise the inverse of c is -c.
     """
+
+    involutive = False
+    first = 1
 
     def __init__(self, vertices: Sequence[str], edges) -> None:
         self.vertices = tuple(vertices)
-        self.index = {v: i for i, v in enumerate(self.vertices)}
-        self.comm = [0] * len(self.vertices)
+        self.index = {v: i + self.first for i, v in enumerate(self.vertices)}
+        adjacent: dict[int, set[int]] = {g: set() for g in self.index.values()}
         for e in edges:
             u, v = tuple(e)
             i, j = self.index[u], self.index[v]
-            self.comm[i] |= 1 << j
-            self.comm[j] |= 1 << i
-
-    def push(self, nf: list[int], v: int) -> None:
-        comm_v = self.comm[v]
-        i = len(nf) - 1
-        while i >= 0:
-            u = nf[i]
-            if u == v:
-                del nf[i]
-                return
-            if not (comm_v >> u) & 1:
-                break
-            i -= 1
-        j = len(nf)
-        while j > 0:
-            u = nf[j - 1]
-            if u != v and (comm_v >> u) & 1 and u > v:
-                j -= 1
-            else:
-                break
-        nf.insert(j, v)
-
-    def _canonize(self, nf: list[int]) -> tuple[int, ...]:
-        """Lexicographically least representative of the commutation class."""
-        remaining = list(nf)
-        out: list[int] = []
-        while remaining:
-            best = None
-            for i, v in enumerate(remaining):
-                if any(u == v or not (self.comm[u] >> v) & 1 for u in remaining[:i]):
-                    continue
-                if best is None or v < remaining[best]:
-                    best = i
-            out.append(remaining.pop(best))
-        return tuple(out)
+            adjacent[i].add(j)
+            adjacent[j].add(i)
+        letters = list(self.index.values())
+        if not self.involutive:
+            letters += [-c for c in letters]
+        self._inverse = {c: c if self.involutive else -c for c in letters}
+        # the letters that c cannot move past: its own generator's and those
+        # of the generators it does not commute with
+        self._blockers = {
+            c: frozenset(u for u in letters if abs(u) not in adjacent[abs(c)])
+            for c in letters
+        }
 
     def normal_form(self, letters: Iterable[int]) -> tuple[int, ...]:
+        inverse, blockers = self._inverse, self._blockers
         nf: list[int] = []
-        for v in letters:
-            self.push(nf, v)
-        return self._canonize(nf)
+        for c in letters:
+            block = blockers[c]
+            i = len(nf)
+            while i and nf[i - 1] not in block:
+                i -= 1
+            if i and nf[i - 1] == inverse[c]:
+                del nf[i - 1]
+                continue
+            g, n = abs(c), len(nf)
+            while i < n and abs(nf[i]) < g:
+                i += 1
+            nf.insert(i, c)
+        return tuple(nf)
+
+
+class TitsEngine(RightAngledEngine):
+    """Canonical forms in the right-angled Coxeter group of a graph.
+
+    Letters are 0-based vertex indices; every generator is an involution.
+    """
+
+    involutive = True
+    first = 0
 
     def encode(self, w: Sequence[str]) -> list[int]:
         try:
@@ -87,70 +95,11 @@ class TitsEngine:
         return tuple(self.vertices[i] for i in letters)
 
 
-class RaagEngine:
+class RaagEngine(RightAngledEngine):
     """Canonical forms in the right-angled Artin group of a flag complex.
 
     Letters are signed 1-based vertex indices (sign is the exponent).
     """
-
-    def __init__(self, vertices: Sequence[str], edges) -> None:
-        self.vertices = tuple(vertices)
-        self.index = {v: i + 1 for i, v in enumerate(self.vertices)}
-        self.comm = [0] * (len(self.vertices) + 1)
-        for e in edges:
-            u, v = tuple(e)
-            i, j = self.index[u], self.index[v]
-            self.comm[i] |= 1 << j
-            self.comm[j] |= 1 << i
-
-    def push(self, nf: list[int], c: int) -> None:
-        g = abs(c)
-        comm_g = self.comm[g]
-        i = len(nf) - 1
-        while i >= 0:
-            u = nf[i]
-            if u == -c:
-                del nf[i]
-                return
-            if abs(u) == g:
-                break
-            if not (comm_g >> abs(u)) & 1:
-                break
-            i -= 1
-        j = len(nf)
-        while j > 0:
-            u = nf[j - 1]
-            if abs(u) == g:
-                break
-            if (comm_g >> abs(u)) & 1 and abs(u) > g:
-                j -= 1
-            else:
-                break
-        nf.insert(j, c)
-
-    def _canonize(self, nf: list[int]) -> tuple[int, ...]:
-        """Lexicographically least representative of the commutation class."""
-        remaining = list(nf)
-        out: list[int] = []
-        while remaining:
-            best = None
-            for i, c in enumerate(remaining):
-                g = abs(c)
-                if any(
-                    abs(u) == g or not (self.comm[abs(u)] >> g) & 1
-                    for u in remaining[:i]
-                ):
-                    continue
-                if best is None or (g, c < 0) < (abs(remaining[best]), remaining[best] < 0):
-                    best = i
-            out.append(remaining.pop(best))
-        return tuple(out)
-
-    def normal_form(self, letters: Iterable[int]) -> tuple[int, ...]:
-        nf: list[int] = []
-        for c in letters:
-            self.push(nf, c)
-        return self._canonize(nf)
 
     def encode(self, w: Word) -> list[int]:
         out = []
@@ -178,29 +127,40 @@ def raag_normal_form(complex_, w: Word) -> Word:
     return eng.decode(eng.normal_form(eng.encode(word(w))))
 
 
-def _split_edge_symbol(sym: str) -> tuple[str, str]:
-    parts = sym.split(":")
-    if len(parts) != 3 or parts[0] != "e":
-        raise NormalFormError(f"not a directed-edge symbol: {sym!r}")
-    return parts[1], parts[2]
+class BBMap:
+    """``bb_image`` with one engine and one table from (edge symbol, exponent)
+    to letter pair for every call."""
+
+    def __init__(self, complex_) -> None:
+        self.engine = RaagEngine(complex_.vertices, complex_.edges)
+        index = self.engine.index
+        self.letters: dict[tuple[str, int], tuple[int, int]] = {}
+        for e in complex_.edges:
+            for x, y in (tuple(e), tuple(e)[::-1]):
+                sym = f"e:{x}:{y}"
+                if sym.count(":") == 2:  # otherwise the symbol names no edge
+                    self.letters[sym, 1] = (index[x], -index[y])
+                    self.letters[sym, -1] = (index[y], -index[x])
+
+    def normal_form(self, w: Word) -> tuple[int, ...]:
+        """Normal form of the image, as engine letters."""
+        letters: list[int] = []
+        try:
+            for sym, exp in w:
+                letters += self.letters[sym, exp]
+        except KeyError:
+            raise NormalFormError(f"unknown edge letter {(sym, exp)!r}") from None
+        return self.engine.normal_form(letters)
+
+    def image(self, w: Word) -> Word:
+        return self.engine.decode(self.normal_form(w))
 
 
 def bb_image(complex_, w: Word) -> Word:
     """Image of a directed-edge word in the Artin group: the edge from x to y
     maps to x y^-1.  A nontrivial image certifies nontriviality of the word in
     every G_L(S)."""
-    eng = RaagEngine(complex_.vertices, complex_.edges)
-    letters: list[int] = []
-    for sym, exp in word(w):
-        x, y = _split_edge_symbol(sym)
-        if not complex_.has_edge(x, y):
-            raise NormalFormError(f"unknown edge symbol {sym!r}")
-        i, j = eng.index[x], eng.index[y]
-        if exp == 1:
-            letters.extend((i, -j))
-        else:
-            letters.extend((j, -i))
-    return eng.decode(eng.normal_form(letters))
+    return BBMap(complex_).image(w)
 
 
 def retract(graph, subgraph, w: Sequence[str]) -> tuple[str, ...]:

@@ -106,6 +106,15 @@ def _status_from_loops(
     """Decide tautness of one length from a full list of trivial loop words."""
     shorter = [w for w in loop_words if len(w) < length]
     exact = [w for w in loop_words if len(w) == length]
+    return _length_status(gens, inverse_pairs, shorter, exact, length, budget)
+
+
+def _length_status(
+    gens, inverse_pairs, shorter, exact, length: int, budget: Budget
+) -> LengthStatus:
+    """The one per-length rule: a length is taut when some loop of it stays
+    nontrivial in the quotient by the shorter loops, and not taut when every
+    loop of it is proved trivial there."""
     if not exact:
         return LengthStatus(length, NOT_TAUT, (), vacuous=True)
     pres = truncated_presentation(gens, shorter, length, inverse_pairs)
@@ -211,30 +220,18 @@ def spectrum_of_graph(
     pairs_with_len = [
         (len(c), loop_word(complex_, EdgeLoop(c))) for c in cycles
     ]
-    statuses = []
-    for l in range(3, horizon + 1):
-        shorter = [w for n, w in pairs_with_len if n < l]
-        exact = [w for n, w in pairs_with_len if n == l]
-        if not exact:
-            statuses.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
-            continue
-        pres = truncated_presentation(gens, shorter, l)
-        engine = WordProblemEngine(pres, budget)
-        claims = []
-        outcome = set()
-        for w in exact:
-            state = engine.is_trivial(w)
-            claims.append(TautClaim(w, pres, state))
-            outcome.add(state.status)
-            if state.status == REFUTED:
-                break
-        if REFUTED in outcome:
-            statuses.append(LengthStatus(l, TAUT, tuple(claims)))
-        elif outcome == {PROVED}:
-            statuses.append(LengthStatus(l, NOT_TAUT, tuple(claims)))
-        else:
-            statuses.append(LengthStatus(l, UNKNOWN, ()))
-    return Spectrum(tuple(statuses), horizon)
+    statuses = tuple(
+        _length_status(
+            gens,
+            (),
+            [w for n, w in pairs_with_len if n < l],
+            [w for n, w in pairs_with_len if n == l],
+            l,
+            budget,
+        )
+        for l in range(3, horizon + 1)
+    )
+    return Spectrum(statuses, horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -298,10 +298,17 @@ def todd_coxeter(
 
 @dataclass(frozen=True)
 class FreeReductionCertificate:
+    """The word freely reduces to the empty word; replay reduces it again."""
+
+    word: Word
     kind: str = "free_reduction"
 
     def to_json(self) -> dict:
-        return {"type": self.kind}
+        return {"type": self.kind, "word": words.to_json(self.word)}
+
+    @classmethod
+    def from_json(cls, data: dict) -> "FreeReductionCertificate":
+        return cls(words.from_json(data["word"]))
 
 
 @dataclass(frozen=True)
@@ -431,10 +438,7 @@ CERT_TYPES = {
 
 
 def certificate_from_json(data: dict):
-    kind = data["type"]
-    if kind == "free_reduction":
-        return FreeReductionCertificate()
-    return CERT_TYPES[kind].from_json(data)
+    return CERT_TYPES[data["type"]].from_json(data)
 
 
 @dataclass(frozen=True)
@@ -491,15 +495,16 @@ class BBImageHom:
 
     def __init__(self, complex_) -> None:
         self.complex = complex_
+        self.map = normal_forms.BBMap(complex_)
 
     def check_compatible(self, pres: GroupPresentation) -> bool:
         try:
-            return all(not normal_forms.bb_image(self.complex, r) for r in pres.relators)
+            return all(not self.map.normal_form(r) for r in pres.relators)
         except normal_forms.NormalFormError:
             return False
 
     def image(self, w: Word) -> Word:
-        return normal_forms.bb_image(self.complex, w)
+        return self.map.image(w)
 
     def witness(self, w: Word, image: Word) -> HomImageWitness:
         return HomImageWitness(self.kind, self.complex.to_json(), w, image)
@@ -788,7 +793,7 @@ class WordProblemEngine:
     def is_trivial(self, w: Word) -> TriState:
         codes = reduce_ints(self.pres.encode(w))
         if not codes:
-            return _check_invariant(TriState(PROVED, FreeReductionCertificate()))
+            return _check_invariant(TriState(PROVED, FreeReductionCertificate(tuple(w))))
         ab = self._abelian_witness(codes, w)
         if ab is not None:
             return _check_invariant(TriState(REFUTED, ab))
@@ -1041,7 +1046,7 @@ def verify_certificate(pres: GroupPresentation, state: TriState) -> bool:
     if cert is None:
         return False
     if isinstance(cert, FreeReductionCertificate):
-        return state.proved
+        return state.proved and not reduce_ints(pres.encode(cert.word))
     if isinstance(cert, QuotientWitness):
         return state.refuted and _verify_quotient_witness(pres, cert)
     if isinstance(cert, NormalClosureDerivation):

@@ -217,3 +217,80 @@ def test_bad_budget_string_is_a_usage_error(files):
 def test_unknown_oracle_is_a_usage_error(files):
     with pytest.raises(SystemExit):
         main(["ball", "--oracle", "wat:5", "--radius", "2"])
+
+
+@pytest.fixture
+def racg_c4_report(files, capsys):
+    """A `spectrum --out` report: length 4 is taut, length 6 is proved not taut."""
+    path = str(files["dir"] / "spectrum.json")
+    code, _ = run(
+        ["spectrum", "--oracle", "racg", "--complex", files["c4"], "--horizon", "6", "--out", path],
+        capsys,
+    )
+    assert code == 0
+    with open(path, encoding="utf-8") as fh:
+        return path, json.load(fh)
+
+
+def _claim(report, length, index=0):
+    return next(s for s in report["statuses"] if s["length"] == length)["claims"][index]
+
+
+def test_verify_cert_reads_spectrum_report(racg_c4_report, capsys):
+    path, report = racg_c4_report
+    code, out = run(["verify-cert", path], capsys)
+    assert code == 0
+    n_claims = sum(len(s["claims"]) for s in report["statuses"])
+    assert json.loads(out) == {"checked": n_claims, "failures": 0}
+
+
+def test_verify_cert_rejects_swapped_claim_word(racg_c4_report, files, capsys):
+    _, report = racg_c4_report
+    proved, other = _claim(report, 6, 0), _claim(report, 6, 1)
+    assert proved["word"] != other["word"]
+    proved["word"] = other["word"]
+    claims = {"claims": [c for s in report["statuses"] for c in s["claims"]]}
+    code, out = run(["verify-cert", files["dump"]("swapped.json", claims)], capsys)
+    assert code == 1
+    assert json.loads(out)["failures"] == 1
+
+
+def test_verify_cert_binds_free_reduction_to_its_word(racg_c4_report, files, capsys):
+    _, report = racg_c4_report
+    taut = _claim(report, 4)
+    bare = {"status": "proved", "certificate": {"type": "free_reduction"}}
+    forged = dict(taut, verdict=bare)
+    code, _ = run(["verify-cert", files["dump"]("bare.json", [forged])], capsys)
+    assert code == 2
+    worded = {"status": "proved", "certificate": {"type": "free_reduction", "word": taut["word"]}}
+    forged = dict(taut, verdict=worded)
+    code, out = run(["verify-cert", files["dump"]("worded.json", [forged])], capsys)
+    assert code == 1 and json.loads(out)["failures"] == 1
+    cancelling = [["0", 1], ["1", 1], ["1", -1], ["0", -1]]
+    honest = dict(
+        taut,
+        word=cancelling,
+        verdict={"status": "proved", "certificate": {"type": "free_reduction", "word": cancelling}},
+    )
+    code, out = run(["verify-cert", files["dump"]("honest.json", [honest])], capsys)
+    assert code == 0 and json.loads(out)["failures"] == 0
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "{not json",
+        json.dumps({"statuses": [{"claims": [{"word": [["0", 1]]}]}]}),
+        json.dumps({"claims": [{"word": [["0", 7]], "presentation": {}, "verdict": {}}]}),
+        json.dumps({"horizon": 4}),
+        json.dumps([3]),
+    ],
+)
+def test_verify_cert_malformed_report_is_a_usage_error(files, capsys, content):
+    path = files["dir"] / "malformed.json"
+    path.write_text(content)
+    code = main(["verify-cert", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1

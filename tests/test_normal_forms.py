@@ -18,6 +18,7 @@ from tautloop.normal_forms import (
 from tautloop.presentations import build_RACG
 from tautloop.word_engine import Budget, CosetTable, todd_coxeter
 from tautloop.words import free_reduce, word
+from two_phase_normal_forms import TwoPhaseRaag, TwoPhaseTits
 
 
 def graph(vs, edges):
@@ -168,3 +169,44 @@ def test_raag_edgeless_graph_is_free_reduction():
             [(rng.choice("uv"), rng.choice((1, -1))) for _ in range(rng.randrange(10))]
         )
         assert raag_normal_form(free_cx, w0) == free_reduce(w0)
+
+
+def random_graph(rng, max_vertices=6):
+    vs = [str(i) for i in range(rng.randint(1, max_vertices))]
+    density = rng.random()
+    pairs = itertools.combinations(vs, 2)
+    return graph(vs, [p for p in pairs if rng.random() < density])
+
+
+@pytest.mark.parametrize("engine, reference, letter", [
+    (TitsEngine, TwoPhaseTits, lambda rng, n: rng.randrange(n)),
+    (RaagEngine, TwoPhaseRaag, lambda rng, n: rng.choice((1, -1)) * rng.randint(1, n)),
+], ids=["racg", "raag"])
+def test_normal_form_matches_two_phase_reference(engine, reference, letter):
+    rng = random.Random(20261018)
+    for _ in range(300):
+        g = random_graph(rng)
+        eng, ref = engine(g.vertices, g.edges), reference(g.vertices, g.edges)
+        n = len(g.vertices)
+        for _ in range(30):
+            w0 = [letter(rng, n) for _ in range(rng.randint(0, 16))]
+            assert eng.normal_form(w0) == ref.normal_form(w0), (g.edges, w0)
+
+
+@pytest.mark.parametrize("g", [
+    graph("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")]),
+    graph("0123", list(itertools.combinations("0123", 2))),
+], ids=["c4", "k4"])
+def test_bb_image_matches_two_phase_reference(g):
+    cx = flag_completion(g)
+    ref = TwoPhaseRaag(cx.vertices, cx.edges)
+    darts = [(u, v) for u, v in g.sorted_edges()] + [(v, u) for u, v in g.sorted_edges()]
+    rng = random.Random(len(darts))
+    for _ in range(2000):
+        w0 = [(rng.choice(darts), rng.choice((1, -1))) for _ in range(rng.randint(0, 16))]
+        letters = []
+        for (x, y), exp in w0:
+            i, j = ref.index[x], ref.index[y]
+            letters += (i, -j) if exp == 1 else (j, -i)
+        expected = tuple((cx.vertices[abs(c) - 1], 1 if c > 0 else -1) for c in ref.normal_form(letters))
+        assert bb_image(cx, word((f"e:{x}:{y}", e) for (x, y), e in w0)) == expected, w0
