@@ -322,3 +322,66 @@ def graph_distance(ball: CayleyBall, u: int, v: int) -> int | None:
     if u not in ids or v not in ids:
         raise ValueError("vertex outside the ball")
     return distance_map(ball, u).get(v)
+
+
+class Shortcuts:
+    """Shortcuts of closed walks in one graph, given by its neighbour map.
+
+    The vertices at positions a < b of a closed walk of length l are joined
+    along the walk by two arcs, of lengths b - a and l - (b - a).  A shortcut
+    is a pair that the graph joins by a path shorter than both arcs; a walk
+    without one is isometrically embedded.  ``nbrs`` maps each vertex to its
+    ``(neighbour, word)`` pairs, the word being read along the edge.  The
+    breadth-first search from each vertex is kept, to the depth that a
+    shortcut of a walk of length at most ``max_len`` can use, so walks that
+    share vertices share searches.
+    """
+
+    def __init__(self, nbrs, max_len: int):
+        self.nbrs = nbrs
+        self.depth = max_len // 2 - 1
+        self._searches: dict = {}
+
+    def letters(self, cycle) -> list[Word]:
+        """The word of each edge of a closed walk, in order."""
+        n = len(cycle)
+        return [
+            next(word for v, word in self.nbrs[cycle[i]] if v == cycle[(i + 1) % n])
+            for i in range(n)
+        ]
+
+    def _search(self, root) -> dict:
+        """vertex -> (distance, parent, word parent->vertex), to the kept depth."""
+        found = self._searches.get(root)
+        if found is None:
+            found = {root: (0, None, ())}
+            frontier = [root]
+            for dist in range(1, self.depth + 1):
+                nxt = []
+                for u in frontier:
+                    for v, letter in self.nbrs[u]:
+                        if v not in found:
+                            found[v] = (dist, u, letter)
+                            nxt.append(v)
+                frontier = nxt
+            self._searches[root] = found
+        return found
+
+    def find(self, cycle) -> tuple[int, int, Word] | None:
+        """The first shortcut (a, b) of a closed vertex walk, in order of a
+        then b, with the word of a geodesic from vertex a to vertex b; None
+        when the walk is isometric."""
+        n = len(cycle)
+        for a in range(n):
+            search = self._search(cycle[a])
+            for b in range(a + 1, n):
+                hit = search.get(cycle[b])
+                if hit is None or hit[0] >= min(b - a, n - b + a):
+                    continue
+                path = []
+                v = cycle[b]
+                while v != cycle[a]:
+                    _, v, letter = search[v]
+                    path.append(letter)
+                return a, b, tuple(x for letter in reversed(path) for x in letter)
+        return None

@@ -88,6 +88,7 @@ class FlagComplex:
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
     _cliques: tuple[tuple[str, ...], ...] = field(default=None, compare=False, repr=False)
+    _trees: dict = field(default_factory=dict, compare=False, repr=False)  # basepoint -> tree
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph(self.vertices, self.edges)
@@ -265,10 +266,12 @@ def is_acyclic(complex_: FlagComplex) -> bool:
     return all(reduced_homology(complex_, k).is_trivial for k in range(complex_.dimension + 1))
 
 
-def spanning_tree(complex_: FlagComplex, basepoint: str) -> set[frozenset[str]]:
+def spanning_tree(complex_: FlagComplex, basepoint: str) -> frozenset[frozenset[str]]:
     """Deterministic spanning tree: grow from the basepoint, always attaching
     the lowest-index unreached vertex through its lowest-index reached
-    neighbour."""
+    neighbour.  Built once per basepoint and kept on the complex."""
+    if basepoint in complex_._trees:
+        return complex_._trees[basepoint]
     if basepoint not in complex_.vertices:
         raise ComplexError(f"unknown basepoint {basepoint!r}")
     reached = [basepoint]
@@ -288,7 +291,8 @@ def spanning_tree(complex_: FlagComplex, basepoint: str) -> set[frozenset[str]]:
                 break
         if not grown:
             raise ComplexError("complex is disconnected")
-    return tree
+    complex_._trees[basepoint] = frozenset(tree)
+    return complex_._trees[basepoint]
 
 
 def edge_symbol(u: str, v: str) -> str:

@@ -26,6 +26,10 @@ class GroupPresentation:
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     inverse_pairs: tuple[tuple[str, str], ...] = ()
+    # tables derived from the fields above, built on first use
+    _core: tuple = field(default=None, init=False, compare=False, repr=False)
+    _core_relators: tuple = field(default=None, init=False, compare=False, repr=False)
+    _variants: dict = field(default=None, init=False, compare=False, repr=False)
 
     @classmethod
     def build(
@@ -65,18 +69,24 @@ class GroupPresentation:
             out[b] = a
         return out
 
+    def _core_table(self) -> tuple[tuple[str, ...], dict[str, int]]:
+        if self._core is None:
+            pairing = self.pairing_map()
+            core = tuple(g for g in self.generators if pairing.get(g, g) >= g)
+            index = {g: i + 1 for i, g in enumerate(core)}
+            object.__setattr__(self, "_core", (core, index))
+        return self._core
+
     def core_generators(self) -> tuple[str, ...]:
         """Generators with the larger member of each formal-inverse pair dropped."""
-        pairing = self.pairing_map()
-        return tuple(g for g in self.generators if pairing.get(g, g) >= g)
+        return self._core_table()[0]
 
     def normalize_word(self, w: Word) -> Word:
         return words.free_reduce(words.normalize(w, self.pairing_map()))
 
     def encode(self, w: Word) -> tuple[int, ...]:
         """Signed-index encoding of a word over the core alphabet (1-based)."""
-        core = self.core_generators()
-        index = {g: i + 1 for i, g in enumerate(core)}
+        index = self._core_table()[1]
         out = []
         for sym, exp in self.normalize_word(w):
             if sym not in index:
@@ -90,18 +100,33 @@ class GroupPresentation:
 
     def core_relators(self) -> tuple[tuple[int, ...], ...]:
         """Encoded relators, pairing-normalised; trivialised ones are dropped."""
-        out = []
-        seen = set()
-        for r in self.relators:
-            enc = reduce_ints(self.encode(r))
-            if not enc:
-                continue
-            key = canonical_cyclic_ints(enc)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(enc)
-        return tuple(out)
+        if self._core_relators is None:
+            out = []
+            seen = set()
+            for r in self.relators:
+                enc = reduce_ints(self.encode(r))
+                if not enc:
+                    continue
+                key = canonical_cyclic_ints(enc)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(enc)
+            object.__setattr__(self, "_core_relators", tuple(out))
+        return self._core_relators
+
+    def relator_variants(self) -> dict[tuple[int, ...], None]:
+        """Every rotation of every core relator and of its inverse, as an
+        insertion-ordered set: iteration follows the relators, and membership
+        is one lookup."""
+        if self._variants is None:
+            variants = {}
+            for r in self.core_relators():
+                for base in (r, invert_ints(r)):
+                    for i in range(len(base)):
+                        variants.setdefault(base[i:] + base[:i])
+            object.__setattr__(self, "_variants", variants)
+        return self._variants
 
     # -- serialization -------------------------------------------------
 

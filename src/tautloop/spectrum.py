@@ -3,9 +3,21 @@
 A loop of length l is taut when it stays nontrivial after every strictly
 shorter loop has been filled in.  That is decided at the group level: collect
 the trivial words shorter than l, present the quotient they normally
-generate, and ask the word-problem engine about each length-l loop.  Both a
-Cayley-graph entry point (driven by an equality oracle) and a finite-graph
-entry point are provided.
+generate, and settle each length-l loop in it.  Both a Cayley-graph entry
+point (driven by an equality oracle) and a finite-graph entry point are
+provided; both use one per-length rule.
+
+Most loops are settled without the word-problem engine, by the splitting
+argument behind Bowditch's taut loops.  If two vertices of a length-l loop
+are closer in the graph than along either arc of the loop between them, the
+loop w = A B C (B one arc) and a geodesic Q between the two vertices give
+two loops Q B^-1 and A Q C, each shorter than l.  As w equals
+A (Q B^-1)^-1 A^-1 times A Q C, it is trivial in the quotient, and the
+certificate is a normal-closure derivation of two insertions: a rotation of
+the first piece, which turns w into A Q C, then the inverse of the cyclic
+reduction of A Q C.  Replay checks it like any other derivation.  Distances
+in a finite ball are sound here, because the argument only needs some
+shorter path.  Only isometrically embedded loops go to the engine.
 """
 
 from __future__ import annotations
@@ -14,13 +26,20 @@ import json
 from dataclasses import dataclass, field
 
 from . import cayley, words
-from .complexes import FlagComplex, SimpleGraph, loop_word, pi1_presentation
-from .presentations import GroupPresentation, truncated_presentation
+from .complexes import EdgeLoop, FlagComplex, SimpleGraph, edge_symbol, loop_word, spanning_tree
+from .presentations import (
+    GroupPresentation,
+    cyclic_reduce_ints,
+    invert_ints,
+    reduce_ints,
+    truncated_presentation,
+)
 from .word_engine import (
     PROVED,
     REFUTED,
     UNKNOWN,
     Budget,
+    NormalClosureDerivation,
     TriState,
     WordProblemEngine,
 )
@@ -103,26 +122,92 @@ class Spectrum:
 def _status_from_loops(
     gens, inverse_pairs, loop_words, length: int, budget: Budget
 ) -> LengthStatus:
-    """Decide tautness of one length from a full list of trivial loop words."""
+    """Decide tautness of one length from a full list of trivial loop words.
+
+    Without the loops' vertex cycles there is no shortcut filter: every loop
+    of the length goes to the engine."""
     shorter = [w for w in loop_words if len(w) < length]
-    exact = [w for w in loop_words if len(w) == length]
-    return _length_status(gens, inverse_pairs, shorter, exact, length, budget)
+    exact = [(w, None) for w in loop_words if len(w) == length]
+    return _length_status(gens, inverse_pairs, shorter, exact, length, budget, None)
+
+
+def _shortcut_derivation(
+    pres: GroupPresentation, w: Word, cycle, shortcuts: cayley.Shortcuts
+) -> NormalClosureDerivation | None:
+    """Two insertions reducing a loop with a shortcut to the empty word.
+
+    With the shortcut Q from vertex a to vertex b, the loop w = A B C
+    (B the arc from a to b) splits into the pieces Q B^-1 and A Q C, both
+    loops shorter than w, whose cyclic reductions are therefore relators of
+    ``pres``.  The first step inserts a rotation of the first piece, or of
+    its inverse, turning w into A Q C; the second writes A Q C as u c u^-1
+    with c cyclically reduced and inserts c^-1 after u.  None when a piece
+    is not a relator, so that the loop goes to the engine.
+    """
+    cut = shortcuts.find(cycle)
+    if cut is None:
+        return None
+    a, b, q = cut
+    edges = shortcuts.letters(cycle)
+    head, arc, tail = (
+        tuple(x for e in part for x in e) for part in (edges[:a], edges[a:b], edges[b:])
+    )
+    state = reduce_ints(pres.encode(w))
+    target = reduce_ints(pres.encode(head + q + tail))
+    variants = pres.relator_variants()
+    steps = []
+    if state != target:
+        # the cyclic reduction of Q B^-1 comes first: it is the insertion
+        # when w, Q and B are freely reduced
+        piece = cyclic_reduce_ints(pres.encode(q + words.invert(arc)))
+        candidates = (
+            (pos, var)
+            for base in (piece, invert_ints(piece))
+            for var in (base[i:] + base[:i] for i in range(len(base)))
+            if var in variants
+            for pos in range(len(state) + 1)
+        )
+        step = next(
+            (c for c in candidates if reduce_ints(state[: c[0]] + c[1] + state[c[0] :]) == target),
+            None,
+        )
+        if step is None:
+            return None
+        steps.append(step)
+    if target:
+        core = cyclic_reduce_ints(target)
+        closing = invert_ints(core)
+        if closing not in variants:
+            return None
+        steps.append(((len(target) - len(core)) // 2, closing))
+    return NormalClosureDerivation(tuple(w), tuple((pos, pres.decode(v)) for pos, v in steps))
 
 
 def _length_status(
-    gens, inverse_pairs, shorter, exact, length: int, budget: Budget
+    gens, inverse_pairs, shorter, exact, length: int, budget: Budget, shortcuts
 ) -> LengthStatus:
     """The one per-length rule: a length is taut when some loop of it stays
     nontrivial in the quotient by the shorter loops, and not taut when every
-    loop of it is proved trivial there."""
+    loop of it is proved trivial there.
+
+    ``exact`` holds (word, vertex cycle) pairs.  Given the ``shortcuts`` of
+    the graph the cycles live in, a loop with a shortcut is proved by its
+    splitting derivation; the engine, built on first need, decides the rest.
+    An unknown length keeps the claims it made, undecided ones included."""
     if not exact:
         return LengthStatus(length, NOT_TAUT, (), vacuous=True)
     pres = truncated_presentation(gens, shorter, length, inverse_pairs)
-    engine = WordProblemEngine(pres, budget)
+    engine = None
     claims = []
     statuses = set()
-    for w in exact:
-        state = engine.is_trivial(w)
+    for w, cycle in exact:
+        proof = None if shortcuts is None else _shortcut_derivation(pres, w, cycle, shortcuts)
+        if proof is not None:
+            state = TriState(PROVED, proof)
+        else:
+            if engine is None:
+                engine = WordProblemEngine(pres, budget)
+            state = engine.is_trivial(w)
         claims.append(TautClaim(w, pres, state))
         statuses.add(state.status)
         if state.status == REFUTED:
@@ -131,7 +216,30 @@ def _length_status(
         return LengthStatus(length, TAUT, tuple(claims))
     if statuses == {PROVED}:
         return LengthStatus(length, NOT_TAUT, tuple(claims))
-    return LengthStatus(length, UNKNOWN, ())
+    return LengthStatus(length, UNKNOWN, tuple(claims))
+
+
+def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_pairs):
+    """Statuses of the given lengths from one ball that certifies the loops
+    up to the horizon."""
+    ball = cayley.build_ball(oracle, gens, (horizon + 1) // 2 + 1, budget)
+    loops = cayley.closed_loops(ball, horizon, ball.center)
+    if not loops.conclusive:
+        raise cayley.OracleInsufficient("ball radius does not certify loop list")
+    shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
+    pairs = list(zip(loops.words, loops.vertex_cycles))
+    return tuple(
+        _length_status(
+            gens,
+            inverse_pairs,
+            [w for w, _ in pairs if len(w) < l],
+            [(w, c) for w, c in pairs if len(w) == l],
+            l,
+            budget,
+            shortcuts,
+        )
+        for l in lengths
+    )
 
 
 def taut_status(
@@ -140,13 +248,7 @@ def taut_status(
     """Tautness of one length in the Cayley graph over an equality oracle."""
     if l < 3:
         raise ValueError("simplicial loops have length >= 3")
-    budget = budget or Budget()
-    radius = (l + 1) // 2 + 1
-    ball = cayley.build_ball(oracle, gens, radius, budget)
-    loops = cayley.closed_loops(ball, l, ball.center)
-    if not loops.conclusive:
-        raise cayley.OracleInsufficient("ball radius does not certify loop list")
-    return _status_from_loops(gens, inverse_pairs, loops.words, l, budget)
+    return _ball_statuses(oracle, gens, l, [l], budget or Budget(), inverse_pairs)[0]
 
 
 def spectrum(
@@ -154,15 +256,7 @@ def spectrum(
 ) -> Spectrum:
     """Taut statuses for all lengths 3..horizon, sharing one ball."""
     budget = budget or Budget()
-    radius = (horizon + 1) // 2 + 1
-    ball = cayley.build_ball(oracle, gens, radius, budget)
-    loops = cayley.closed_loops(ball, horizon, ball.center)
-    if not loops.conclusive:
-        raise cayley.OracleInsufficient("ball radius does not certify loop list")
-    statuses = tuple(
-        _status_from_loops(gens, inverse_pairs, loops.words, l, budget)
-        for l in range(3, horizon + 1)
-    )
+    statuses = _ball_statuses(oracle, gens, horizon, range(3, horizon + 1), budget, inverse_pairs)
     return Spectrum(statuses, horizon)
 
 
@@ -205,29 +299,35 @@ def spectrum_of_graph(
     Loops from every basepoint are deduplicated up to rotation and reversal
     and rewritten through a spanning tree into words of the free fundamental
     group; the tree conjugation does not change normal closures or
-    triviality.
+    triviality.  For the shortcut filter, a chord of the tree reads its
+    letter and a tree edge the empty word.
     """
     budget = budget or Budget()
     complex_ = FlagComplex(graph.vertices, graph.edges)
     if not complex_.is_connected():
         raise ValueError("spectrum needs a connected graph")
     cycles = _graph_loop_cycles(graph, horizon)
-    from .complexes import EdgeLoop, edge_symbol, spanning_tree
-
     tree = spanning_tree(complex_, complex_.vertices[0])
-    chords = [e for e in graph.sorted_edges() if frozenset(e) not in tree]
-    gens = [edge_symbol(u, v) for u, v in chords]
-    pairs_with_len = [
-        (len(c), loop_word(complex_, EdgeLoop(c))) for c in cycles
-    ]
+    nbrs = {v: [] for v in graph.vertices}
+    gens = []
+    for u, v in graph.sorted_edges():
+        letter = ()
+        if frozenset((u, v)) not in tree:
+            gens.append(edge_symbol(u, v))
+            letter = ((gens[-1], 1),)
+        nbrs[u].append((v, letter))
+        nbrs[v].append((u, words.invert(letter)))
+    shortcuts = cayley.Shortcuts(nbrs, horizon)
+    loops = [(c, loop_word(complex_, EdgeLoop(c))) for c in cycles]
     statuses = tuple(
         _length_status(
             gens,
             (),
-            [w for n, w in pairs_with_len if n < l],
-            [w for n, w in pairs_with_len if n == l],
+            [w for c, w in loops if len(c) < l],
+            [(w, c) for c, w in loops if len(c) == l],
             l,
             budget,
+            shortcuts,
         )
         for l in range(3, horizon + 1)
     )

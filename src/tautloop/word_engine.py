@@ -22,15 +22,14 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import normal_forms, words
 from .linalg import mat_vec, smith_normal_form
 from .presentations import (
     GroupPresentation,
-    canonical_cyclic_ints,
+    PresentationError,
     exponent_vector,
-    invert_ints,
     reduce_ints,
 )
 from .words import Word
@@ -579,19 +578,6 @@ def abelian_witness(pres: GroupPresentation, w: Word) -> QuotientWitness | None:
 # ---------------------------------------------------------------------------
 
 
-def _relator_variants(relators: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    seen = set()
-    out = []
-    for r in relators:
-        for base in (tuple(r), invert_ints(r)):
-            for i in range(len(base)):
-                rot = base[i:] + base[:i]
-                if rot not in seen:
-                    seen.add(rot)
-                    out.append(rot)
-    return out
-
-
 def normal_closure_search(
     pres: GroupPresentation, w: Word, budget: Budget
 ) -> NormalClosureDerivation | None:
@@ -607,7 +593,7 @@ def normal_closure_search(
     relators = pres.core_relators()
     if not relators:
         return None
-    variants = _relator_variants(relators)
+    variants = pres.relator_variants()
     max_rel = max(len(r) for r in relators)
     length_cap = len(start) + 2 * max_rel
     frontier = {start: ()}
@@ -997,11 +983,10 @@ def _verify_quotient_witness(pres: GroupPresentation, cert: QuotientWitness) -> 
 
 
 def _verify_derivation(pres: GroupPresentation, cert: NormalClosureDerivation) -> bool:
-    variants = set(_relator_variants(pres.core_relators()))
     state = reduce_ints(pres.encode(cert.word))
     for pos, ins in cert.steps:
         ins_codes = tuple(pres.encode(ins))
-        if ins_codes not in variants:
+        if ins_codes not in pres.relator_variants():
             return False
         if pos < 0 or pos > len(state):
             return False
@@ -1039,12 +1024,22 @@ def _verify_enumeration(pres: GroupPresentation, cert: CosetEnumerationCertifica
 
 
 def verify_certificate(pres: GroupPresentation, state: TriState) -> bool:
-    """Replay a Proved/Refuted certificate; Unknown verifies vacuously."""
+    """Replay a Proved/Refuted certificate; Unknown verifies vacuously.
+
+    A certificate whose words use a symbol outside the presentation fails.
+    """
     cert = state.certificate
     if state.unknown:
         return cert is None
     if cert is None:
         return False
+    try:
+        return _replay(pres, state, cert)
+    except PresentationError:
+        return False
+
+
+def _replay(pres: GroupPresentation, state: TriState, cert) -> bool:
     if isinstance(cert, FreeReductionCertificate):
         return state.proved and not reduce_ints(pres.encode(cert.word))
     if isinstance(cert, QuotientWitness):

@@ -276,6 +276,27 @@ def test_verify_cert_binds_free_reduction_to_its_word(racg_c4_report, files, cap
     assert code == 0 and json.loads(out)["failures"] == 0
 
 
+def test_verify_cert_fails_a_certificate_outside_its_presentation(racg_c4_report, files, capsys):
+    _, report = racg_c4_report
+    taut = _claim(report, 4)
+    foreign = [["zz", 1]]
+    witness = dict(taut["verdict"]["certificate"], word=foreign)
+    forged = dict(taut, word=foreign, verdict={"status": "refuted", "certificate": witness})
+    code, out = run(["verify-cert", files["dump"]("foreign.json", [forged])], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+
+
+def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):
+    path = str(files["dir"] / "r.json")
+    argv = ["spectrum", "--oracle", "racg", "--complex", files["c5"], "--horizon", "8"]
+    code, _ = run(argv + ["--out", path], capsys)
+    assert code == 0
+    with open(path, encoding="utf-8") as fh:
+        assert json.load(fh)["taut_lengths"] == [4]
+    code, out = run(["verify-cert", path], capsys)
+    assert code == 0 and json.loads(out) == {"checked": 1 + 15 + 150, "failures": 0}
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -2,13 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautloop.cayley import FreeGroupOracle, RacgOracle, ZModOracle
-from tautloop.complexes import SimpleGraph
+from tautloop.cayley import FreeGroupOracle, RaagOracle, RacgOracle, ZModOracle
+from tautloop.complexes import SimpleGraph, flag_completion
+from tautloop.presentations import GroupPresentation
 from tautloop.spectrum import (
     NOT_RELATED,
     NOT_TAUT,
     RELATED,
     TAUT,
+    UNKNOWN,
     UNKNOWN_BEYOND_HORIZON,
     KRelatedness,
     LengthSet,
@@ -20,7 +22,13 @@ from tautloop.spectrum import (
     spectrum_of_graph,
     taut_status,
 )
-from tautloop.word_engine import Budget
+from tautloop.word_engine import (
+    Budget,
+    NormalClosureDerivation,
+    WordProblemEngine,
+    verify_certificate,
+)
+from tautloop.words import canonical_cyclic
 
 BUDGET = Budget(max_cosets=300, max_deductions=20_000, max_search_depth=2)
 
@@ -149,6 +157,133 @@ def test_spectrum_to_length_set():
     )
     ls2 = partial.to_length_set()
     assert ls2.elements == (3,) and ls2.horizon == 3
+
+
+# ---------------------------------------------------------------------------
+# shortcut filter
+# ---------------------------------------------------------------------------
+
+
+def generalized_petersen(n, k):
+    edges = [(i, (i + 1) % n) for i in range(n)] + [(i, n + i) for i in range(n)]
+    edges += [(n + i, n + (i + k) % n) for i in range(n)]
+    return graph([str(i) for i in range(2 * n)], [(str(a), str(b)) for a, b in edges])
+
+
+HEAWOOD = graph(
+    [str(i) for i in range(14)],
+    [(str(i), str((i + 1) % 14)) for i in range(14)]
+    + [(str(i), str((i + 5) % 14)) for i in range(0, 14, 2)],
+)
+CUBE = graph(
+    [str(i) for i in range(8)],
+    [(str(a), str(a ^ (1 << b))) for a in range(8) for b in range(3) if a < a ^ (1 << b)],
+)
+K33 = graph("abcxyz", [(u, v) for u in "abc" for v in "xyz"])
+
+# length -> (status, claims), frozen from the engine-only computation; where
+# every loop is a simple cycle the counts are the known cycle counts
+# (Petersen: ten 6-cycles, fifteen 8-cycles, twenty 9-cycles; Heawood:
+# twenty-one 8-cycles, eighty-four 10-cycles; the cube: sixteen 6-cycles)
+GRAPH_SPECTRA = {
+    "petersen": (
+        generalized_petersen(5, 2),
+        {5: (TAUT, 1), 6: (NOT_TAUT, 10), 8: (NOT_TAUT, 15), 9: (NOT_TAUT, 20),
+         10: (NOT_TAUT, 72)},
+    ),
+    "heawood": (HEAWOOD, {6: (TAUT, 1), 8: (NOT_TAUT, 21), 10: (NOT_TAUT, 84)}),
+    "mobius-kantor": (
+        generalized_petersen(8, 3),
+        {6: (TAUT, 1), 8: (NOT_TAUT, 30), 10: (NOT_TAUT, 96)},
+    ),
+    "cube": (CUBE, {4: (TAUT, 1), 6: (NOT_TAUT, 16), 8: (NOT_TAUT, 24), 10: (NOT_TAUT, 120)}),
+    "K4": (
+        complete_graph(4),
+        {3: (TAUT, 1), 4: (NOT_TAUT, 3), 6: (NOT_TAUT, 10), 7: (NOT_TAUT, 12),
+         8: (NOT_TAUT, 12), 9: (NOT_TAUT, 32), 10: (NOT_TAUT, 60)},
+    ),
+    "K33": (K33, {4: (TAUT, 1), 6: (NOT_TAUT, 6), 8: (NOT_TAUT, 45), 10: (NOT_TAUT, 90)}),
+}
+
+
+@pytest.fixture
+def engine_words(monkeypatch):
+    """The words the word-problem engine is asked about, in order."""
+    asked = []
+    original = WordProblemEngine.is_trivial
+
+    def counted(self, w):
+        asked.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(WordProblemEngine, "is_trivial", counted)
+    return asked
+
+
+def assert_statuses(sp, frozen, asked):
+    """Statuses as frozen (lengths not listed have no loops), every claim
+    replays, and every claim the engine did not make is a derivation of at
+    most two insertions."""
+    for s in sp.statuses:
+        status, n_claims = frozen.get(s.length, (NOT_TAUT, 0))
+        assert (s.length, s.status, len(s.claims)) == (s.length, status, n_claims)
+        assert s.vacuous == (n_claims == 0)
+        for claim in s.claims:
+            assert verify_certificate(claim.presentation, claim.state)
+            if claim.word not in asked:
+                cert = claim.state.certificate
+                assert isinstance(cert, NormalClosureDerivation) and len(cert.steps) <= 2
+
+
+@pytest.mark.parametrize("name", sorted(GRAPH_SPECTRA))
+def test_graph_spectra_with_the_shortcut_filter(name, engine_words):
+    g, frozen = GRAPH_SPECTRA[name]
+    assert_statuses(spectrum_of_graph(g, 10), frozen, engine_words)
+
+
+def test_racg_c5_spectrum_to_eight_asks_the_engine_once(engine_words):
+    c5 = cycle_graph(5)
+    sp = spectrum(RacgOracle(c5), list(c5.vertices), 8)
+    assert_statuses(sp, {4: (TAUT, 1), 6: (NOT_TAUT, 15), 8: (NOT_TAUT, 150)}, engine_words)
+    # only the first square, which is taut, needs the engine
+    assert engine_words == [sp.status_of(4).claims[0].word]
+
+
+def test_raag_c4_spectrum_to_eight(engine_words):
+    # the engine alone did not finish this in 25 minutes; the counts are those
+    # of the loop enumeration, and every claim replays
+    c4 = cycle_graph(4)
+    sp = spectrum(RaagOracle(flag_completion(c4)), list(c4.vertices), 8)
+    assert_statuses(sp, {4: (TAUT, 1), 6: (NOT_TAUT, 144), 8: (NOT_TAUT, 3184)}, engine_words)
+    assert len(engine_words) == 1
+
+
+def test_shortcut_derivation_needs_the_piece_relator():
+    c5 = cycle_graph(5)
+    status = taut_status(RacgOracle(c5), list(c5.vertices), 6)
+    claim = status.claims[0]
+    cert = claim.state.certificate
+    assert isinstance(cert, NormalClosureDerivation) and len(cert.steps) == 2
+    piece = canonical_cyclic(cert.steps[0][1])
+    pres = claim.presentation
+    kept = [r for r in pres.relators if canonical_cyclic(r) != piece]
+    assert len(kept) == len(pres.relators) - 1
+    without = GroupPresentation.build(pres.generators, kept)
+    assert verify_certificate(pres, claim.state)
+    assert not verify_certificate(without, claim.state)
+
+
+def test_unknown_length_keeps_its_claims():
+    # the cube's sixteen 6-cycles: twelve go round two adjacent faces and
+    # have a shortcut; the four that cut it in half are isometric, and this
+    # budget cannot decide them
+    budget = Budget(max_cosets=1, max_deductions=1, max_search_depth=1)
+    status = spectrum_of_graph(CUBE, 6, budget).status_of(6)
+    assert status.status == UNKNOWN
+    verdicts = [c.state.status for c in status.claims]
+    assert len(verdicts) == 16
+    assert verdicts.count("unknown") == 4 and verdicts.count("proved") == 12
+    assert all(verify_certificate(c.presentation, c.state) for c in status.claims)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ from tautloop.word_engine import (
     Budget,
     BudgetExceeded,
     CosetTable,
+    FreeReductionCertificate,
+    NormalClosureDerivation,
+    QuotientWitness,
     TriState,
     WordProblemEngine,
     abelian_witness,
@@ -220,6 +223,20 @@ def test_tampered_certificates_fail_replay():
     assert not verify_certificate(p, TriState.from_json(data))
     wrong_status = TriState("proved", state.certificate)
     assert not verify_certificate(p, wrong_status)
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        TriState("proved", FreeReductionCertificate((("zz", 1),))),
+        TriState("refuted", QuotientWitness(2, (("a", (1, 0)),), (("zz", 1),))),
+        TriState("proved", NormalClosureDerivation(w("a"), ((0, (("zz", 1),)),))),
+    ],
+    ids=["free_reduction", "quotient_witness", "derivation"],
+)
+def test_certificate_outside_the_presentation_fails_replay(state):
+    # a symbol the presentation does not have makes replay fail, not raise
+    assert verify_certificate(pres("a", "a a"), state) is False
 
 
 def test_budget_growth_never_flips_conclusive_answers():
