@@ -10,7 +10,7 @@ collapse onto single undirected edges, keeping the graph simplicial.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import normal_forms, words
 from .words import Word
@@ -133,15 +133,20 @@ class CayleyBall:
     radius: int
     oracle_tag: str
     edge_letters: tuple[tuple[int, int, Word], ...]  # u, v, a length-1 word u->v
+    _nbrs: dict = field(default=None, init=False, compare=False, repr=False)
 
     def neighbor_map(self) -> dict[int, list[tuple[int, Word]]]:
-        out: dict[int, list[tuple[int, Word]]] = {v.vid: [] for v in self.vertices}
-        for u, v, letter in self.edge_letters:
-            out[u].append((v, letter))
-            out[v].append((u, words.invert(letter)))
-        for lst in out.values():
-            lst.sort(key=lambda t: t[0])
-        return out
+        """vertex -> (neighbour, letter) pairs sorted by neighbour; built once
+        and kept on the ball, so callers must not change it."""
+        if self._nbrs is None:
+            out: dict[int, list[tuple[int, Word]]] = {v.vid: [] for v in self.vertices}
+            for u, v, letter in self.edge_letters:
+                out[u].append((v, letter))
+                out[v].append((u, words.invert(letter)))
+            for lst in out.values():
+                lst.sort(key=lambda t: t[0])
+            object.__setattr__(self, "_nbrs", out)
+        return self._nbrs
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +174,7 @@ class CayleyBall:
         return "\n".join(lines) + "\n"
 
 
-def build_ball(oracle, gens, radius: int, budget=None) -> CayleyBall:
+def build_ball(oracle, gens, radius: int) -> CayleyBall:
     """Breadth-first ball of the given radius around the identity.
 
     ``gens`` is a list of generator symbols; both exponents are applied, so
@@ -177,56 +182,34 @@ def build_ball(oracle, gens, radius: int, budget=None) -> CayleyBall:
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    moves: list[Word] = []
-    for s in gens:
-        for exp in (1, -1):
-            moves.append(((s, exp),))
-    try:
-        root = oracle.normal_form(())
-    except OracleInsufficient:
-        raise
-    key_to_id = {root: 0}
+    moves: list[Word] = [((s, exp),) for s in gens for exp in (1, -1)]
+    key_to_id = {oracle.normal_form(()): 0}
     verts = [BallVertex(0, (), 0)]
-    edges: set[frozenset[int]] = set()
-    letters: dict[frozenset[int], Word] = {}
+    letters: dict[frozenset[int], Word] = {}  # edge -> letter read from its smaller end
     frontier = [0]
-    for dist in range(1, radius + 1):
+    # the last pass only adds the edges among frontier vertices
+    for dist in range(1, radius + 2):
         nxt = []
         for vid in frontier:
             base = verts[vid].word
             for mv in moves:
                 w = base + mv
                 key = oracle.normal_form(w)
-                if key not in key_to_id:
-                    new_id = len(verts)
-                    key_to_id[key] = new_id
-                    verts.append(BallVertex(new_id, words.free_reduce(w), dist))
-                    nxt.append(new_id)
-                other = key_to_id[key]
-                if other != vid:
+                if key not in key_to_id and dist <= radius:
+                    key_to_id[key] = len(verts)
+                    nxt.append(len(verts))
+                    verts.append(BallVertex(len(verts), words.free_reduce(w), dist))
+                other = key_to_id.get(key)
+                if other is not None and other != vid:
                     e = frozenset((vid, other))
-                    if e not in edges:
-                        edges.add(e)
-                        a, b = sorted(e)
-                        letters[e] = mv if a == vid else words.invert(mv)
+                    if e not in letters:
+                        letters[e] = mv if vid < other else words.invert(mv)
         frontier = nxt
-    # edges among frontier vertices (both ends at full radius)
-    for vid in frontier:
-        base = verts[vid].word
-        for mv in moves:
-            key = oracle.normal_form(base + mv)
-            other = key_to_id.get(key)
-            if other is not None and other != vid:
-                e = frozenset((vid, other))
-                if e not in edges:
-                    edges.add(e)
-                    a, b = sorted(e)
-                    letters[e] = mv if a == vid else words.invert(mv)
     edge_letters = tuple(
-        (min(e), max(e), letters[e]) for e in sorted(edges, key=lambda e: sorted(e))
+        (min(e), max(e), letters[e]) for e in sorted(letters, key=lambda e: sorted(e))
     )
     tag = getattr(oracle, "tag", type(oracle).__name__)
-    return CayleyBall(0, tuple(verts), frozenset(edges), radius, tag, edge_letters)
+    return CayleyBall(0, tuple(verts), frozenset(letters), radius, tag, edge_letters)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +231,7 @@ class LoopEnumeration:
         return iter(self.words)
 
 
-def _cycle_key(cycle: tuple[int, ...]) -> tuple[int, ...]:
+def _cycle_key(cycle: tuple) -> tuple:
     best = None
     for seq in (cycle, tuple(reversed(cycle))):
         for i in range(len(seq)):
@@ -258,62 +241,81 @@ def _cycle_key(cycle: tuple[int, ...]) -> tuple[int, ...]:
     return best
 
 
-def closed_loops(ball: CayleyBall, max_len: int, base: int = 0) -> LoopEnumeration:
-    """Cyclically non-backtracking closed edge paths through the base vertex.
+def bfs(nbrs, root, depth: int | None = None) -> dict:
+    """Breadth-first search of a graph given by its neighbour map, to the
+    given depth (the root's whole component when None).
 
-    Backtracking loops freely reduce to strictly shorter ones, so omitting
-    them loses nothing downstream: their cyclic reductions are enumerated.
+    Returns vertex -> (distance, parent, word read from parent to vertex),
+    in the order the vertices are reached; the root maps to (0, None, ()).
     """
-    nbrs = ball.neighbor_map()
-    dist_from_base = distance_map(ball, base)
-    out_words: list[Word] = []
-    out_cycles: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    found = {root: (0, None, ())}
+    frontier = [root]
+    dist = 0
+    while frontier and (depth is None or dist < depth):
+        dist += 1
+        nxt = []
+        for u in frontier:
+            for v, letter in nbrs[u]:
+                if v not in found:
+                    found[v] = (dist, u, letter)
+                    nxt.append(v)
+        frontier = nxt
+    return found
 
+
+def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
+    """Cyclically non-backtracking closed walks through the bases.
+
+    ``nbrs`` maps each vertex to its ``(neighbour, word)`` pairs.  Walks of
+    lengths 3..max_len are returned as (vertex cycle, word) pairs, one per
+    class up to rotation and reversal, ordered by length, then base, then
+    the order of ``nbrs``.  Backtracking walks freely reduce to strictly
+    shorter ones, so omitting them loses nothing downstream: their cyclic
+    reductions are enumerated.
+    """
+    bases = tuple(bases)
+    # a walk with d steps left must be within distance d of its base
+    reach = {base: bfs(nbrs, base, max_len // 2) for base in bases}
+    seen: set[tuple] = set()
+    out: list[tuple[tuple, Word]] = []
     for length in range(3, max_len + 1):
-        found: list[tuple[tuple[int, ...], Word]] = []
+        for base in bases:
+            dist = reach[base]
 
-        def extend(path: tuple[int, ...], w: Word) -> None:
-            steps_left = length - (len(path) - 1)
-            here = path[-1]
-            if steps_left == 0:
-                if here == base and len(path) > 1 and path[1] != path[-2]:
-                    found.append((path[:-1], w))
-                return
-            d = dist_from_base.get(here)
-            if d is None or d > steps_left:
-                return
-            for nxt, letter in nbrs[here]:
-                if len(path) > 1 and nxt == path[-2]:
-                    continue
-                extend(path + (nxt,), w + letter)
+            def extend(path: tuple, w: Word) -> None:
+                steps_left = length - (len(path) - 1)
+                here = path[-1]
+                if steps_left == 0:
+                    if here == base and path[1] != path[-2]:
+                        key = _cycle_key(path[:-1])
+                        if key not in seen:
+                            seen.add(key)
+                            out.append((path[:-1], w))
+                    return
+                hit = dist.get(here)
+                if hit is None or hit[0] > steps_left:
+                    return
+                for nxt, letter in nbrs[here]:
+                    if len(path) > 1 and nxt == path[-2]:
+                        continue
+                    extend(path + (nxt,), w + letter)
 
-        extend((base,), ())
-        for cycle, w in sorted(found, key=lambda t: t[0]):
-            key = _cycle_key(cycle)
-            if key in seen:
-                continue
-            seen.add(key)
-            out_words.append(w)
-            out_cycles.append(cycle)
+            extend((base,), ())
+    return out
+
+
+def closed_loops(ball: CayleyBall, max_len: int, base: int = 0) -> LoopEnumeration:
+    """The closed walks of ``closed_walks`` through one base vertex of a ball."""
+    found = closed_walks(ball.neighbor_map(), max_len, (base,))
     return LoopEnumeration(
-        tuple(out_words), tuple(out_cycles), conclusive=max_len <= 2 * ball.radius
+        tuple(w for _, w in found),
+        tuple(c for c, _ in found),
+        conclusive=max_len <= 2 * ball.radius,
     )
 
 
 def distance_map(ball: CayleyBall, base: int) -> dict[int, int]:
-    nbrs = ball.neighbor_map()
-    dist = {base: 0}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v, _ in nbrs[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+    return {v: hit[0] for v, hit in bfs(ball.neighbor_map(), base).items()}
 
 
 def graph_distance(ball: CayleyBall, u: int, v: int) -> int | None:
@@ -351,20 +353,10 @@ class Shortcuts:
         ]
 
     def _search(self, root) -> dict:
-        """vertex -> (distance, parent, word parent->vertex), to the kept depth."""
+        """The breadth-first search from a vertex, to the kept depth."""
         found = self._searches.get(root)
         if found is None:
-            found = {root: (0, None, ())}
-            frontier = [root]
-            for dist in range(1, self.depth + 1):
-                nxt = []
-                for u in frontier:
-                    for v, letter in self.nbrs[u]:
-                        if v not in found:
-                            found[v] = (dist, u, letter)
-                            nxt.append(v)
-                frontier = nxt
-            self._searches[root] = found
+            found = self._searches[root] = bfs(self.nbrs, root, self.depth)
         return found
 
     def find(self, cycle) -> tuple[int, int, Word] | None:

@@ -21,7 +21,6 @@ from .spectrum import (
     spectrum as compute_spectrum,
 )
 from .complexes import (
-    EdgeLoop,
     FlagComplex,
     OmegaSet,
     SimpleGraph,
@@ -30,7 +29,6 @@ from .complexes import (
 )
 from .presentations import GroupPresentation, Homomorphism, build_P, build_RAAG, build_RACG
 from .word_engine import (
-    PROVED,
     REFUTED,
     UNKNOWN,
     Budget,
@@ -157,11 +155,14 @@ def cmd_present(args) -> int:
 
 
 def cmd_ball(args) -> int:
+    # a ball needs no budget, but --budget is common to every subcommand and a
+    # malformed one is a usage error
+    _parse_budget(args.budget)
     try:
         oracle, gens = _make_oracle(args.oracle, args)
         if args.gens:
             gens = args.gens.split(",")
-        ball = cayley.build_ball(oracle, gens, args.radius, _parse_budget(args.budget))
+        ball = cayley.build_ball(oracle, gens, args.radius)
     except cayley.OracleInsufficient as exc:
         sys.stderr.write(f"oracle insufficient: {exc}\n")
         return EXIT_BUDGET

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import words
+from .cayley import bfs
 from .complexes import SimpleGraph
 from .normal_forms import TitsEngine
-from .presentations import GroupPresentation, PresentationError
+from .presentations import GroupPresentation
 from .word_engine import Budget, CosetTable, todd_coxeter
 from .words import Word
 
@@ -136,20 +137,6 @@ class ActionReport:
         }
 
 
-def _graph_distances(graph: SimpleGraph, start: str) -> dict[str, int]:
-    dist = {start: 0}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
-
-
 def check_action(ga: GroupAction, budget: Budget | None = None) -> ActionReport:
     """Relator compatibility, freeness, edge preservation and the distance-4
     orbit separation, with a witness string per violation."""
@@ -175,16 +162,17 @@ def check_action(ga: GroupAction, budget: Budget | None = None) -> ActionReport:
             free = False
             violations.append(f"element {words.format_word(w)} has a fixed vertex")
     min_dist: int | None = None
+    nbrs = {v: [(u, ()) for u in ga.graph.neighbors(v)] for v in ga.graph.vertices}
     for v in ga.graph.vertices:
-        dist = _graph_distances(ga.graph, v)
+        dist = bfs(nbrs, v)
         orbit = {perm[v] for _, perm in elements}
         for u in orbit:
             if u == v:
                 continue
-            d = dist.get(u)
-            if d is None:
+            if u not in dist:
                 violations.append(f"orbit of {v} leaves the component")
                 continue
+            d = dist[u][0]
             if min_dist is None or d < min_dist:
                 min_dist = d
     separated = min_dist is None or min_dist >= 4

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import words
+from .complexes import edge_symbol
 from .words import Word
 
 
@@ -85,14 +86,16 @@ class GroupPresentation:
         return words.free_reduce(words.normalize(w, self.pairing_map()))
 
     def encode(self, w: Word) -> tuple[int, ...]:
-        """Signed-index encoding of a word over the core alphabet (1-based)."""
+        """Signed-index encoding of the freely reduced word over the core
+        alphabet (1-based).  Every symbol is checked before reduction, so a
+        foreign symbol raises even where it would cancel."""
         index = self._core_table()[1]
         out = []
-        for sym, exp in self.normalize_word(w):
+        for sym, exp in words.normalize(w, self.pairing_map()):
             if sym not in index:
                 raise PresentationError(f"unknown generator {sym!r}")
             out.append(exp * index[sym])
-        return tuple(out)
+        return reduce_ints(out)
 
     def decode(self, codes: Iterable[int]) -> Word:
         core = self.core_generators()
@@ -223,7 +226,6 @@ class Homomorphism:
     source: GroupPresentation
     target: GroupPresentation
     images: tuple[tuple[str, Word], ...]
-    relator_checks: tuple = field(default=(), compare=False)
 
     @classmethod
     def build(cls, source, target, images: Mapping[str, Word]) -> "Homomorphism":
@@ -261,10 +263,6 @@ class Homomorphism:
 
 
 # -- the paper's presentation families ---------------------------------
-
-
-def edge_symbol(u: str, v: str) -> str:
-    return f"e:{u}:{v}"
 
 
 def build_P(complex_, omega, s_set: Iterable[int]) -> GroupPresentation:

@@ -5,7 +5,9 @@ shorter loop has been filled in.  That is decided at the group level: collect
 the trivial words shorter than l, present the quotient they normally
 generate, and settle each length-l loop in it.  Both a Cayley-graph entry
 point (driven by an equality oracle) and a finite-graph entry point are
-provided; both use one per-length rule.
+provided.  Both enumerate their loops with ``cayley.closed_walks`` over a
+neighbour map, which also serves the shortcut filter, and both use one
+per-length rule.
 
 Most loops are settled without the word-problem engine, by the splitting
 argument behind Bowditch's taut loops.  If two vertices of a length-l loop
@@ -23,7 +25,7 @@ shorter path.  Only isometrically embedded loops go to the engine.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import cayley, words
 from .complexes import EdgeLoop, FlagComplex, SimpleGraph, edge_symbol, loop_word, spanning_tree
@@ -222,18 +224,24 @@ def _length_status(
 def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_pairs):
     """Statuses of the given lengths from one ball that certifies the loops
     up to the horizon."""
-    ball = cayley.build_ball(oracle, gens, (horizon + 1) // 2 + 1, budget)
+    ball = cayley.build_ball(oracle, gens, (horizon + 1) // 2 + 1)
     loops = cayley.closed_loops(ball, horizon, ball.center)
     if not loops.conclusive:
         raise cayley.OracleInsufficient("ball radius does not certify loop list")
     shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
     pairs = list(zip(loops.words, loops.vertex_cycles))
+    return _statuses(gens, inverse_pairs, pairs, lengths, budget, shortcuts)
+
+
+def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
+    """The per-length rule at each of the lengths, for loops given as
+    (word, vertex cycle) pairs and split by the length of the cycle."""
     return tuple(
         _length_status(
             gens,
             inverse_pairs,
-            [w for w, _ in pairs if len(w) < l],
-            [(w, c) for w, c in pairs if len(w) == l],
+            [w for w, c in loops if len(c) < l],
+            [(w, c) for w, c in loops if len(c) == l],
             l,
             budget,
             shortcuts,
@@ -265,32 +273,6 @@ def spectrum(
 # ---------------------------------------------------------------------------
 
 
-def _graph_loop_cycles(graph: SimpleGraph, max_len: int):
-    """Cyclically non-backtracking closed walks up to rotation and reversal."""
-    nbrs = {v: sorted(graph.neighbors(v), key=graph.vertices.index) for v in graph.vertices}
-    seen = set()
-    out = []
-    for length in range(3, max_len + 1):
-        for base in graph.vertices:
-
-            def extend(path):
-                if len(path) - 1 == length:
-                    if path[-1] == base and path[1] != path[-2]:
-                        cycle = path[:-1]
-                        key = cayley._cycle_key(cycle)
-                        if key not in seen:
-                            seen.add(key)
-                            out.append(cycle)
-                    return
-                for nxt in nbrs[path[-1]]:
-                    if len(path) > 1 and nxt == path[-2]:
-                        continue
-                    extend(path + (nxt,))
-
-            extend((base,))
-    return out
-
-
 def spectrum_of_graph(
     graph: SimpleGraph, horizon: int, budget: Budget | None = None
 ) -> Spectrum:
@@ -299,14 +281,15 @@ def spectrum_of_graph(
     Loops from every basepoint are deduplicated up to rotation and reversal
     and rewritten through a spanning tree into words of the free fundamental
     group; the tree conjugation does not change normal closures or
-    triviality.  For the shortcut filter, a chord of the tree reads its
-    letter and a tree edge the empty word.
+    triviality.  In the neighbour map that the loop enumeration and the
+    shortcut filter share, a chord of the tree reads its letter and a tree
+    edge the empty word; ``sorted_edges`` keeps each vertex's neighbours in
+    vertex order.
     """
     budget = budget or Budget()
     complex_ = FlagComplex(graph.vertices, graph.edges)
     if not complex_.is_connected():
         raise ValueError("spectrum needs a connected graph")
-    cycles = _graph_loop_cycles(graph, horizon)
     tree = spanning_tree(complex_, complex_.vertices[0])
     nbrs = {v: [] for v in graph.vertices}
     gens = []
@@ -318,20 +301,11 @@ def spectrum_of_graph(
         nbrs[u].append((v, letter))
         nbrs[v].append((u, words.invert(letter)))
     shortcuts = cayley.Shortcuts(nbrs, horizon)
-    loops = [(c, loop_word(complex_, EdgeLoop(c))) for c in cycles]
-    statuses = tuple(
-        _length_status(
-            gens,
-            (),
-            [w for c, w in loops if len(c) < l],
-            [(w, c) for c, w in loops if len(c) == l],
-            l,
-            budget,
-            shortcuts,
-        )
-        for l in range(3, horizon + 1)
-    )
-    return Spectrum(statuses, horizon)
+    loops = [
+        (loop_word(complex_, EdgeLoop(c)), c)
+        for c, _ in cayley.closed_walks(nbrs, horizon, graph.vertices)
+    ]
+    return Spectrum(_statuses(gens, (), loops, range(3, horizon + 1), budget, shortcuts), horizon)
 
 
 # ---------------------------------------------------------------------------

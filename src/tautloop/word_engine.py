@@ -545,24 +545,21 @@ def _smallest_nondividing_modulus(value: int) -> int:
     return m
 
 
-def abelian_witness(pres: GroupPresentation, w: Word) -> QuotientWitness | None:
-    """Cyclic-quotient witness when the word survives abelianization."""
-    core, n, diag, v = _abelian_data(pres)
+def _abelian_quotient(data, codes: Sequence[int], w: Word) -> QuotientWitness | None:
+    """Cyclic-quotient witness for the word ``w`` with the given codes, from
+    the abelianization data of ``_abelian_data``."""
+    core, n, diag, v = data
     if n == 0:
         return None
-    vec = list(exponent_vector(reduce_ints(pres.encode(w)), n))
-    coords = mat_vec(vec, v)
+    coords = mat_vec(list(exponent_vector(codes, n)), v)
     r = len(diag)
     for i in range(n):
         if i < r and diag[i] != 0:
-            if coords[i] % diag[i] != 0:
-                modulus = diag[i]
-                shift = coords[i] % modulus
-            else:
+            if coords[i] % diag[i] == 0:
                 continue
+            modulus = diag[i]
         elif coords[i] != 0:
             modulus = _smallest_nondividing_modulus(coords[i])
-            shift = coords[i] % modulus
         else:
             continue
         images = []
@@ -571,6 +568,11 @@ def abelian_witness(pres: GroupPresentation, w: Word) -> QuotientWitness | None:
             images.append((g, tuple((x + s) % modulus for x in range(modulus))))
         return QuotientWitness(modulus, tuple(sorted(images)), tuple(w))
     return None
+
+
+def abelian_witness(pres: GroupPresentation, w: Word) -> QuotientWitness | None:
+    """Cyclic-quotient witness when the word survives abelianization."""
+    return _abelian_quotient(_abelian_data(pres), pres.encode(w), w)
 
 
 # ---------------------------------------------------------------------------
@@ -753,34 +755,11 @@ class WordProblemEngine:
             self._table = todd_coxeter(self.pres, (), self.budget)
         return self._table
 
-    def _abelian_witness(self, codes, w: Word) -> QuotientWitness | None:
-        core, n, diag, v = self._abelian
-        if n == 0:
-            return None
-        vec = list(exponent_vector(codes, n))
-        coords = mat_vec(vec, v)
-        r = len(diag)
-        for i in range(n):
-            if i < r and diag[i] != 0:
-                if coords[i] % diag[i] == 0:
-                    continue
-                modulus = diag[i]
-            elif coords[i] != 0:
-                modulus = _smallest_nondividing_modulus(coords[i])
-            else:
-                continue
-            images = []
-            for j, g in enumerate(core):
-                s = v[j][i] % modulus
-                images.append((g, tuple((x + s) % modulus for x in range(modulus))))
-            return QuotientWitness(modulus, tuple(sorted(images)), tuple(w))
-        return None
-
     def is_trivial(self, w: Word) -> TriState:
         codes = reduce_ints(self.pres.encode(w))
         if not codes:
             return _check_invariant(TriState(PROVED, FreeReductionCertificate(tuple(w))))
-        ab = self._abelian_witness(codes, w)
+        ab = _abelian_quotient(self._abelian, codes, w)
         if ab is not None:
             return _check_invariant(TriState(REFUTED, ab))
         for hom in self.homs:
@@ -922,8 +901,6 @@ def kernel_shortest_element(
     for length in range(1, radius + 1):
         layer_clean = True
         for codes in _reduced_words_of_length(n_core, length):
-            if reduce_ints(codes) != codes:
-                continue
             w = pres_s.decode(codes)
             in_t = eng_t.is_trivial(w)
             if in_t.unknown:

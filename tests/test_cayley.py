@@ -12,6 +12,7 @@ from tautloop.cayley import (
     ZModOracle,
     build_ball,
     closed_loops,
+    closed_walks,
     distance_map,
     graph_distance,
 )
@@ -182,3 +183,48 @@ def test_graph_distance_validates_membership():
     ball = build_ball(ZModOracle(3), ["t"], 1)
     with pytest.raises(ValueError):
         graph_distance(ball, 0, 99)
+
+
+def _graph_nbrs(g):
+    return {v: [(u, ()) for u in g.neighbors(v)] for v in g.vertices}
+
+
+def _brute_force_closed_walks(g, length):
+    """Cyclically non-backtracking closed walks of one length, counted up to
+    rotation and reversal, from every vertex sequence of that length."""
+    classes = set()
+    for seq in itertools.product(g.vertices, repeat=length):
+        if not all(g.has_edge(seq[i], seq[(i + 1) % length]) for i in range(length)):
+            continue
+        if any(seq[(i + 1) % length] == seq[i - 1] for i in range(length)):
+            continue
+        turns = [seq[i:] + seq[:i] for i in range(length)]
+        turns += [tuple(reversed(t)) for t in turns]
+        classes.add(min(turns))
+    return len(classes)
+
+
+def _cube():
+    vs = [str(i) for i in range(8)]
+    return graph(vs, [(vs[a], vs[a ^ (1 << b)]) for a in range(8) for b in range(3) if a < a ^ (1 << b)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        graph("0123", list(itertools.combinations("0123", 2))),
+        graph("abcxyz", [(u, v) for u in "abc" for v in "xyz"]),
+        _cube(),
+        graph("012345", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"),
+                         ("5", "0"), ("1", "4")]),
+    ],
+    ids=["K4", "K33", "cube", "theta"],
+)
+def test_closed_walks_match_a_brute_force_count(g):
+    found = closed_walks(_graph_nbrs(g), 6, g.vertices)
+    counts = {}
+    for cycle, _ in found:
+        counts[len(cycle)] = counts.get(len(cycle), 0) + 1
+    for length in range(3, 7):
+        assert counts.get(length, 0) == _brute_force_closed_walks(g, length)
+    assert [len(c) for c, _ in found] == sorted(len(c) for c, _ in found)

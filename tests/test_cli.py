@@ -286,6 +286,18 @@ def test_verify_cert_fails_a_certificate_outside_its_presentation(racg_c4_report
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
+def test_verify_cert_fails_cancelling_symbols_outside_its_presentation(racg_c4_report, files, capsys):
+    _, report = racg_c4_report
+    cancelling = [["zz", 1], ["zz", -1]]
+    forged = dict(
+        _claim(report, 4),
+        word=cancelling,
+        verdict={"status": "proved", "certificate": {"type": "free_reduction", "word": cancelling}},
+    )
+    code, out = run(["verify-cert", files["dump"]("cancelling.json", [forged])], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+
+
 def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):
     path = str(files["dir"] / "r.json")
     argv = ["spectrum", "--oracle", "racg", "--complex", files["c5"], "--horizon", "8"]

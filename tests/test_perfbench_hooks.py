@@ -16,6 +16,7 @@ from tautloop.cayley import BBOracle  # noqa: E402
 from tautloop.complexes import SimpleGraph, flag_completion  # noqa: E402
 
 C4 = SimpleGraph.build("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
+C5 = SimpleGraph.build("01234", [(str(i), str((i + 1) % 5)) for i in range(5)])
 
 
 def test_tracer_installs_runs_and_uninstalls():
@@ -39,3 +40,21 @@ def test_tracer_installs_runs_and_uninstalls():
     assert m["normal_forms.calls"] > m["cayley.ball_vertices"]
     assert m["spectrum.engine_calls"] == m["word_engine.is_trivial.calls"] > 0
     assert m["word_engine.verify_certificate.calls"] == sum(len(s.claims) for s in sp.statuses)
+
+
+def test_traced_graph_spectrum_counts_its_loops():
+    # graph loops are counted through loop_word, looked up on the spectrum
+    # module at call time; without them engine_calls_per_loop would read 0
+    tracer = tracing.Tracer()
+    tracer.install()
+    installed = list(tracer._installed)
+    try:
+        sp = tracing.spectrum_mod.spectrum_of_graph(C5, 6)
+        m = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is original for owner, attr, original in installed)
+    assert sp.lengths() == (5,)
+    assert m["spectrum.calls"] == 1
+    assert m["complexes.loop_word.calls"] > 0
+    assert m["spectrum.engine_calls_per_loop"] > 0

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautloop.cayley import FreeGroupOracle, RaagOracle, RacgOracle, ZModOracle
+from tautloop.cayley import FreeGroupOracle, RaagOracle, RacgOracle, ZModOracle, closed_walks
 from tautloop.complexes import SimpleGraph, flag_completion
 from tautloop.presentations import GroupPresentation
 from tautloop.spectrum import (
@@ -16,7 +16,6 @@ from tautloop.spectrum import (
     LengthSet,
     LengthStatus,
     Spectrum,
-    _graph_loop_cycles,
     k_related,
     spectrum,
     spectrum_of_graph,
@@ -118,7 +117,8 @@ def test_tree_spectrum_is_empty():
 
 def test_complete_graph_has_four_triangles_and_spectrum_three():
     k4 = complete_graph(4)
-    assert len(_graph_loop_cycles(k4, 3)) == 4
+    nbrs = {v: [(u, ()) for u in k4.neighbors(v)] for v in k4.vertices}
+    assert len(closed_walks(nbrs, 3, k4.vertices)) == 4
     sp = spectrum_of_graph(k4, 4, BUDGET)
     assert sp.lengths(TAUT) == (3,)
     # once the triangles are filled the 4-cycles are contractible

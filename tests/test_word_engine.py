@@ -231,11 +231,20 @@ def test_tampered_certificates_fail_replay():
         TriState("proved", FreeReductionCertificate((("zz", 1),))),
         TriState("refuted", QuotientWitness(2, (("a", (1, 0)),), (("zz", 1),))),
         TriState("proved", NormalClosureDerivation(w("a"), ((0, (("zz", 1),)),))),
+        TriState("proved", FreeReductionCertificate(w("zz zz-"))),
+        TriState("proved", NormalClosureDerivation(w("a a zz zz-"), ((0, w("a- a-")),))),
     ],
-    ids=["free_reduction", "quotient_witness", "derivation"],
+    ids=[
+        "free_reduction",
+        "quotient_witness",
+        "derivation",
+        "cancelling_free_reduction",
+        "cancelling_derivation",
+    ],
 )
 def test_certificate_outside_the_presentation_fails_replay(state):
-    # a symbol the presentation does not have makes replay fail, not raise
+    # a symbol the presentation does not have makes replay fail, not raise,
+    # even where it would cancel against its inverse
     assert verify_certificate(pres("a", "a a"), state) is False
 
 
