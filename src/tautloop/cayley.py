@@ -276,10 +276,11 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
     bases = tuple(bases)
     # a walk with d steps left must be within distance d of its base
     reach = {base: bfs(nbrs, base, max_len // 2) for base in bases}
+    rank = {base: i for i, base in enumerate(bases)}
     seen: set[tuple] = set()
     out: list[tuple[tuple, Word]] = []
     for length in range(3, max_len + 1):
-        for base in bases:
+        for k, base in enumerate(bases):
             dist = reach[base]
 
             def extend(path: tuple, w: Word) -> None:
@@ -297,6 +298,10 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
                     return
                 for nxt, letter in nbrs[here]:
                     if len(path) > 1 and nxt == path[-2]:
+                        continue
+                    # a class is emitted first from its earliest base, so a
+                    # walk through an earlier base would only be dropped here
+                    if rank.get(nxt, k) < k:
                         continue
                     extend(path + (nxt,), w + letter)
 

@@ -107,7 +107,7 @@ class GroupPresentation:
             out = []
             seen = set()
             for r in self.relators:
-                enc = reduce_ints(self.encode(r))
+                enc = self.encode(r)
                 if not enc:
                     continue
                 key = canonical_cyclic_ints(enc)

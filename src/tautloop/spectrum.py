@@ -154,8 +154,8 @@ def _shortcut_derivation(
     head, arc, tail = (
         tuple(x for e in part for x in e) for part in (edges[:a], edges[a:b], edges[b:])
     )
-    state = reduce_ints(pres.encode(w))
-    target = reduce_ints(pres.encode(head + q + tail))
+    state = pres.encode(w)
+    target = pres.encode(head + q + tail)
     variants = pres.relator_variants()
     steps = []
     if state != target:

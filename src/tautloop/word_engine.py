@@ -22,12 +22,14 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field
+from operator import add
 from typing import Sequence
 
 from . import normal_forms, words
-from .linalg import mat_vec, smith_normal_form
+from .linalg import smith_normal_form
 from .presentations import (
     GroupPresentation,
+    Homomorphism,
     PresentationError,
     exponent_vector,
     reduce_ints,
@@ -176,7 +178,7 @@ def todd_coxeter(
         budget = Budget()
     core = pres.core_generators()
     relators = [r for r in pres.core_relators()]
-    sub = [reduce_ints(pres.encode(w)) for w in subgroup_gens]
+    sub = [pres.encode(w) for w in subgroup_gens]
     t = CosetTable(len(core))
 
     def define(c: int, colx: int) -> int | None:
@@ -527,15 +529,26 @@ def _replay_hom_witness(pres: GroupPresentation, cert: HomImageWitness) -> bool:
 
 
 def _abelian_data(pres: GroupPresentation):
+    """Core generators, the Smith diagonal of the relator exponent matrix and
+    each letter code's row: ``V[j-1]`` for ``+j`` and its negative for ``-j``,
+    ``V`` the right transform.  A word's coordinates sum its letters' rows."""
     core = pres.core_generators()
     n = len(core)
-    rows = [list(exponent_vector(r, n)) for r in pres.core_relators()]
-    if not rows:
-        diag: list[int] = []
-        v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    relator_rows = [list(exponent_vector(r, n)) for r in pres.core_relators()]
+    if relator_rows:
+        diag, v = smith_normal_form(relator_rows)
     else:
-        diag, v = smith_normal_form(rows)
-    return core, n, diag, v
+        diag, v = [], [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = {}
+    for j, row in enumerate(v, 1):
+        rows[j] = tuple(row)
+        rows[-j] = tuple(-x for x in row)
+    return core, diag, rows
+
+
+def _abelian_coords(data, codes: Sequence[int]) -> tuple[int, ...]:
+    core, _, rows = data
+    return tuple(map(sum, zip((0,) * len(core), *(rows[c] for c in codes))))
 
 
 def _smallest_nondividing_modulus(value: int) -> int:
@@ -545,29 +558,33 @@ def _smallest_nondividing_modulus(value: int) -> int:
     return m
 
 
+def _abelian_obstruction(data, coords: Sequence[int]) -> tuple[int, int] | None:
+    """The first coordinate ``i`` nonzero in its cyclic factor and a modulus
+    showing it, or None when the word dies in the abelianization."""
+    diag = data[1]
+    r = len(diag)
+    for i, x in enumerate(coords):
+        if i < r and diag[i] != 0:
+            if x % diag[i]:
+                return i, diag[i]
+        elif x:
+            return i, _smallest_nondividing_modulus(x)
+    return None
+
+
 def _abelian_quotient(data, codes: Sequence[int], w: Word) -> QuotientWitness | None:
     """Cyclic-quotient witness for the word ``w`` with the given codes, from
     the abelianization data of ``_abelian_data``."""
-    core, n, diag, v = data
-    if n == 0:
+    found = _abelian_obstruction(data, _abelian_coords(data, codes))
+    if found is None:
         return None
-    coords = mat_vec(list(exponent_vector(codes, n)), v)
-    r = len(diag)
-    for i in range(n):
-        if i < r and diag[i] != 0:
-            if coords[i] % diag[i] == 0:
-                continue
-            modulus = diag[i]
-        elif coords[i] != 0:
-            modulus = _smallest_nondividing_modulus(coords[i])
-        else:
-            continue
-        images = []
-        for j, g in enumerate(core):
-            s = v[j][i] % modulus
-            images.append((g, tuple((x + s) % modulus for x in range(modulus))))
-        return QuotientWitness(modulus, tuple(sorted(images)), tuple(w))
-    return None
+    i, modulus = found
+    core, _, rows = data
+    images = []
+    for j, g in enumerate(core, 1):
+        s = rows[j][i] % modulus
+        images.append((g, tuple((x + s) % modulus for x in range(modulus))))
+    return QuotientWitness(modulus, tuple(sorted(images)), tuple(w))
 
 
 def abelian_witness(pres: GroupPresentation, w: Word) -> QuotientWitness | None:
@@ -589,7 +606,7 @@ def normal_closure_search(
     followed by canonical free reduction; success is reaching the empty word
     within the depth budget.
     """
-    start = reduce_ints(pres.encode(w))
+    start = pres.encode(w)
     if not start:
         return NormalClosureDerivation(tuple(w), ())
     relators = pres.core_relators()
@@ -699,7 +716,7 @@ def finite_quotient_search(
     """
     if max_degree > MAX_QUOTIENT_DEGREE:
         raise ValueError(f"max_degree capped at {MAX_QUOTIENT_DEGREE}")
-    codes = reduce_ints(pres.encode(w))
+    codes = pres.encode(w)
     if not codes:
         return None
 
@@ -756,7 +773,7 @@ class WordProblemEngine:
         return self._table
 
     def is_trivial(self, w: Word) -> TriState:
-        codes = reduce_ints(self.pres.encode(w))
+        codes = self.pres.encode(w)
         if not codes:
             return _check_invariant(TriState(PROVED, FreeReductionCertificate(tuple(w))))
         ab = _abelian_quotient(self._abelian, codes, w)
@@ -859,20 +876,22 @@ class KernelSearchResult:
         }
 
 
-def _reduced_words_of_length(n_core: int, length: int):
-    """Freely reduced signed-index words, lexicographic within each length."""
-    alphabet = [c for i in range(1, n_core + 1) for c in (i, -i)]
+def _reduced_words_of_length(n_core: int, length: int, rows):
+    """Freely reduced signed-index words, lexicographic within each length,
+    each with the sum of its letters' ``rows`` (letter code -> tuple)."""
+    alphabet = [(c, rows[c]) for i in range(1, n_core + 1) for c in (i, -i)]
 
-    def extend(prefix: tuple[int, ...], remaining: int):
-        if remaining == 0:
-            yield prefix
-            return
-        for c in alphabet:
-            if prefix and prefix[-1] == -c:
-                continue
-            yield from extend(prefix + (c,), remaining - 1)
+    def extend(prefix: tuple[int, ...], coords: tuple[int, ...], remaining: int):
+        back = -prefix[-1] if prefix else 0
+        for c, row in alphabet:
+            if c != back:
+                word, total = prefix + (c,), tuple(map(add, coords, row))
+                if remaining == 1:
+                    yield word, total
+                else:
+                    yield from extend(word, total, remaining - 1)
 
-    yield from extend((), length)
+    yield from extend((), (0,) * len(rows[1]) if n_core else (), length)
 
 
 def kernel_shortest_element(
@@ -884,49 +903,52 @@ def kernel_shortest_element(
     homs_s: Sequence[BBImageHom] = (),
     homs_t: Sequence[BBImageHom] = (),
 ) -> KernelSearchResult:
-    """Shortest word trivial in the target but not in the source.
+    """Shortest word trivial in the target but not in the source, under the
+    identity on generators, the one ``quotient`` accepted.
 
-    Breadth-first over freely reduced words; the result is certified minimal
-    only when every shorter word resolved conclusively, otherwise it is
-    flagged minimal-up-to-Unknowns.
+    Breadth-first over freely reduced words.  The target's abelianization,
+    summed one letter at a time, settles each word before the engine: only
+    words that die there are decoded and handed to the engines.  The result
+    is certified minimal only when every shorter word resolved conclusively,
+    otherwise it is flagged minimal-up-to-Unknowns.
     """
     if set(pres_s.generators) != set(pres_t.generators):
         raise ValueError("kernel search needs identical generating symbols")
+    if quotient != Homomorphism.identity_on_generators(pres_s, pres_t):
+        raise ValueError("kernel search needs the identity on generators as its quotient")
     budget = budget or Budget()
     eng_s = WordProblemEngine(pres_s, budget, homs_s)
     eng_t = WordProblemEngine(pres_t, budget, homs_t)
     n_core = len(pres_s.core_generators())
+    abelian_t = eng_t._abelian
+    letters = [c for i in range(1, n_core + 1) for c in (i, -i)]
+    rows = {c: _abelian_coords(abelian_t, pres_t.encode(pres_s.decode((c,)))) for c in letters}
     unknown_count = 0
     certified_lower_bound = 0
     for length in range(1, radius + 1):
-        layer_clean = True
-        for codes in _reduced_words_of_length(n_core, length):
+        for codes, coords in _reduced_words_of_length(n_core, length, rows):
+            # the target's engine would refute it by its abelianization; the
+            # one route before, free reduction, proves only coordinates 0
+            if _abelian_obstruction(abelian_t, coords) is not None:
+                continue
             w = pres_s.decode(codes)
             in_t = eng_t.is_trivial(w)
-            if in_t.unknown:
+            in_s = eng_s.is_trivial(w) if in_t.proved else None
+            if in_t.unknown or (in_s is not None and in_s.unknown):
                 unknown_count += 1
-                layer_clean = False
-                continue
-            if in_t.refuted:
-                continue
-            in_s = eng_s.is_trivial(w)
-            if in_s.unknown:
-                unknown_count += 1
-                layer_clean = False
-                continue
-            if in_s.proved:
-                continue
-            return KernelSearchResult(
-                True,
-                length,
-                w,
-                certified_lower_bound + 1,
-                unknown_count > 0,
-                unknown_count,
-                target_certificate=in_t.certificate,
-                source_certificate=in_s.certificate,
-            )
-        if layer_clean and certified_lower_bound == length - 1:
+            elif in_s is not None and in_s.refuted:
+                return KernelSearchResult(
+                    True,
+                    length,
+                    w,
+                    certified_lower_bound + 1,
+                    unknown_count > 0,
+                    unknown_count,
+                    target_certificate=in_t.certificate,
+                    source_certificate=in_s.certificate,
+                )
+        # every word up to this length resolved conclusively
+        if unknown_count == 0:
             certified_lower_bound = length
     return KernelSearchResult(
         False, None, None, certified_lower_bound + 1, unknown_count > 0, unknown_count

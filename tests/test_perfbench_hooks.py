@@ -13,7 +13,8 @@ import tracing  # noqa: E402
 
 from tautloop import word_engine  # noqa: E402
 from tautloop.cayley import BBOracle  # noqa: E402
-from tautloop.complexes import SimpleGraph, flag_completion  # noqa: E402
+from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion  # noqa: E402
+from tautloop.presentations import Homomorphism, build_P  # noqa: E402
 
 C4 = SimpleGraph.build("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
 C5 = SimpleGraph.build("01234", [(str(i), str((i + 1) % 5)) for i in range(5)])
@@ -58,3 +59,29 @@ def test_traced_graph_spectrum_counts_its_loops():
     assert m["spectrum.calls"] == 1
     assert m["complexes.loop_word.calls"] > 0
     assert m["spectrum.engine_calls_per_loop"] > 0
+
+
+def test_traced_kernel_search_hands_the_engine_only_abelian_survivors():
+    # the target's abelianization settles all but 48 of the 3,200 reduced
+    # words up to length 4 before the engine; the hom image refutes the rest
+    cx = flag_completion(C4)
+    omega = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))
+    pres_s, pres_t = build_P(cx, omega, {0}), build_P(cx, omega, {0, 2})
+    hom = word_engine.BBImageHom(cx)
+    budget = word_engine.Budget(max_cosets=200, max_deductions=20_000, max_search_depth=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    installed = list(tracer._installed)
+    try:
+        result = word_engine.kernel_shortest_element(
+            pres_s, pres_t, Homomorphism.identity_on_generators(pres_s, pres_t), 4, budget,
+            homs_s=(hom,), homs_t=(hom,),
+        )
+        m = tracer.metrics()
+    finally:
+        tracer.uninstall()
+    assert all(vars(owner)[attr] is original for owner, attr, original in installed)
+    assert not result.found and result.certified_lower_bound == 5
+    assert m["word_engine.is_trivial.calls"] == 48
+    assert m["word_engine.route.hom_image.calls"] == 48
+    assert m["word_engine.route.abelian.calls"] == 0

@@ -2,8 +2,16 @@ import random
 
 import pytest
 
+import per_word_kernel_search
 from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion
-from tautloop.presentations import GroupPresentation, Homomorphism, build_P, build_RAAG
+from tautloop.linalg import mat_vec
+from tautloop.presentations import (
+    GroupPresentation,
+    Homomorphism,
+    build_P,
+    build_RAAG,
+    exponent_vector,
+)
 from tautloop.word_engine import (
     BBImageHom,
     Budget,
@@ -14,6 +22,10 @@ from tautloop.word_engine import (
     QuotientWitness,
     TriState,
     WordProblemEngine,
+    _abelian_coords,
+    _abelian_obstruction,
+    _abelian_quotient,
+    _reduced_words_of_length,
     abelian_witness,
     certificate_from_json,
     finite_quotient_search,
@@ -182,6 +194,84 @@ def test_kernel_shortest_element_identity_quotient():
     result = kernel_shortest_element(p, p, hom, 4, BUDGET)
     assert not result.found
     assert result.certified_lower_bound == 5
+
+
+def test_kernel_search_rejects_any_quotient_but_the_identity():
+    p_s = pres("ab")
+    p_t = pres("ab", "a a a")
+    swap = Homomorphism.build(p_s, p_t, {"a": w("b"), "b": w("a")})
+    for quotient in (swap, "anything"):
+        with pytest.raises(ValueError):
+            kernel_shortest_element(p_s, p_t, quotient, 3, BUDGET)
+
+
+C4_GRAPH = SimpleGraph.build("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
+C4_OMEGA = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))
+KERNEL_BUDGET = Budget(max_cosets=200, max_deductions=20_000, max_search_depth=1)
+
+
+def _c4_kernel_case(s_set, t_set, radius, with_hom=True):
+    cx = flag_completion(C4_GRAPH)
+    homs = (BBImageHom(cx),) if with_hom else ()
+    return build_P(cx, C4_OMEGA, s_set), build_P(cx, C4_OMEGA, t_set), radius, homs
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _c4_kernel_case({0}, {0, 2}, 4),
+        _c4_kernel_case({0}, {0, 2}, 4, with_hom=False),
+        _c4_kernel_case({0}, {0, 1}, 5),
+        _c4_kernel_case({0, 2}, {0, 1, 2}, 5),
+        _c4_kernel_case({0}, {0, 1, 2}, 5),
+        # the target lists its generators in another order
+        (pres("ab"), pres("ba", "a a a"), 4, ()),
+        # the target pairs a with A as formal inverses; the source does not
+        (pres("aAb"), pres("bAa", "a b a b-", pairs=[("a", "A")]), 4, ()),
+    ],
+    ids=["c4-0-02-r4", "c4-0-02-r4-nohom", "c4-0-01", "c4-02-012", "c4-0-012", "order", "pairs"],
+)
+def test_kernel_search_matches_the_per_word_reference(case):
+    p_s, p_t, radius, homs = case
+    quotient = Homomorphism.identity_on_generators(p_s, p_t)
+    got = kernel_shortest_element(
+        p_s, p_t, quotient, radius, KERNEL_BUDGET, homs_s=homs, homs_t=homs
+    )
+    want = per_word_kernel_search.kernel_search(
+        p_s, p_t, radius, KERNEL_BUDGET, homs_s=homs, homs_t=homs
+    )
+    assert got.to_json() == want.to_json()
+    for attr in ("target_certificate", "source_certificate"):
+        got_cert, want_cert = getattr(got, attr), getattr(want, attr)
+        assert (got_cert is None) == (want_cert is None)
+        if want_cert is not None:
+            assert got_cert.to_json() == want_cert.to_json()
+
+
+def test_abelian_obstruction_agrees_with_the_engine_route():
+    cx = flag_completion(C4_GRAPH)
+    p = build_P(cx, C4_OMEGA, {0, 2})
+    engine = WordProblemEngine(p, KERNEL_BUDGET, homs=(BBImageHom(cx),))
+    data = engine._abelian
+    n_core = len(p.core_generators())
+    rows = {c: _abelian_coords(data, (c,)) for i in range(1, n_core + 1) for c in (i, -i)}
+    v = [list(rows[j]) for j in range(1, n_core + 1)]
+    survivors = 0
+    for length in range(1, 5):
+        for codes, coords in _reduced_words_of_length(n_core, length, rows):
+            assert list(coords) == mat_vec(list(exponent_vector(codes, n_core)), v)
+            word = p.decode(codes)
+            found = _abelian_obstruction(data, coords)
+            witness = _abelian_quotient(data, codes, word)
+            assert (found is None) == (witness is None)
+            state = engine.is_trivial(word)
+            if found is None:
+                survivors += 1
+                assert state.certificate.to_json()["type"] == "hom_image"
+            else:
+                assert state.refuted and state.certificate == witness
+                assert witness.degree == found[1]
+    assert survivors == 48
 
 
 def test_bb_image_hom_registration():
