@@ -1,7 +1,10 @@
 """Finite balls of simplicial Cayley graphs built over equality oracles.
 
-An oracle maps words to canonical hashable keys; two words denote the same
-group element iff their keys coincide.  Balls are built breadth-first, so
+An oracle maps a word, optionally applied to a key it returned, to a
+canonical hashable key: ``normal_form(w)`` is the key of w, and
+``normal_form(w, key)`` the key of the element of ``key`` followed by w.  Two
+words denote the same group element iff their keys coincide.  Balls are
+built breadth-first, each vertex's key extended by one move at a time, so
 every vertex's representative word is geodesic.  Vertices are group elements
 and edges the 2-element sets {g, gs}; inverse generator pairs and involutions
 collapse onto single undirected edges, keeping the graph simplicial.
@@ -36,8 +39,8 @@ class FreeGroupOracle:
             self.pairing[b] = a
         self.tag = f"free({','.join(self.symbols)})"
 
-    def normal_form(self, w: Word):
-        return words.free_reduce(words.normalize(w, self.pairing))
+    def normal_form(self, w: Word, start: Word = ()):
+        return words.free_reduce(start + words.normalize(w, self.pairing))
 
 
 class RaagOracle:
@@ -45,10 +48,11 @@ class RaagOracle:
 
     def __init__(self, complex_):
         self.engine = normal_forms.RaagEngine(complex_.vertices, complex_.edges)
+        self.letters = {(v, e): (e * i,) for v, i in self.engine.index.items() for e in (1, -1)}
         self.tag = f"raag({','.join(complex_.vertices)})"
 
-    def normal_form(self, w: Word):
-        return self.engine.normal_form(self.engine.encode(words.word(w)))
+    def normal_form(self, w: Word, start=()):
+        return self.engine.normal_form(normal_forms.table_letters(self.letters, w), start)
 
 
 class RacgOracle:
@@ -56,10 +60,11 @@ class RacgOracle:
 
     def __init__(self, graph):
         self.engine = normal_forms.TitsEngine(graph.vertices, graph.edges)
+        self.letters = {(v, e): (i,) for v, i in self.engine.index.items() for e in (1, -1)}
         self.tag = f"racg({','.join(graph.vertices)})"
 
-    def normal_form(self, w: Word):
-        return self.engine.normal_form(self.engine.encode([s for s, _ in words.word(w)]))
+    def normal_form(self, w: Word, start=()):
+        return self.engine.normal_form(normal_forms.table_letters(self.letters, w), start)
 
 
 class BBOracle:
@@ -73,8 +78,8 @@ class BBOracle:
         self.map = normal_forms.BBMap(complex_)
         self.tag = f"bb({','.join(complex_.vertices)})"
 
-    def normal_form(self, w: Word):
-        return self.map.normal_form(w)
+    def normal_form(self, w: Word, start=()):
+        return self.map.normal_form(w, start)
 
 
 class ZModOracle:
@@ -87,8 +92,8 @@ class ZModOracle:
         self.symbol = symbol
         self.tag = f"zmod({n})"
 
-    def normal_form(self, w: Word):
-        total = 0
+    def normal_form(self, w: Word, start: int = 0):
+        total = start
         for sym, exp in words.word(w):
             if sym != self.symbol:
                 raise OracleInsufficient(f"unknown generator {sym!r}")
@@ -109,8 +114,8 @@ class CosetTableOracle:
         self.table = table
         self.tag = f"coset({table.n_cosets})"
 
-    def normal_form(self, w: Word):
-        return self.table.trace(0, self.pres.encode(w))
+    def normal_form(self, w: Word, start: int = 0):
+        return self.table.trace(start, self.pres.encode(w))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +188,8 @@ def build_ball(oracle, gens, radius: int) -> CayleyBall:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     moves: list[Word] = [((s, exp),) for s in gens for exp in (1, -1)]
-    key_to_id = {oracle.normal_form(()): 0}
+    keys = [oracle.normal_form(())]  # vertex id -> key
+    key_to_id = {keys[0]: 0}
     verts = [BallVertex(0, (), 0)]
     letters: dict[frozenset[int], Word] = {}  # edge -> letter read from its smaller end
     frontier = [0]
@@ -191,14 +197,14 @@ def build_ball(oracle, gens, radius: int) -> CayleyBall:
     for dist in range(1, radius + 2):
         nxt = []
         for vid in frontier:
-            base = verts[vid].word
+            start = keys[vid]
             for mv in moves:
-                w = base + mv
-                key = oracle.normal_form(w)
+                key = oracle.normal_form(mv, start)
                 if key not in key_to_id and dist <= radius:
                     key_to_id[key] = len(verts)
                     nxt.append(len(verts))
-                    verts.append(BallVertex(len(verts), words.free_reduce(w), dist))
+                    keys.append(key)
+                    verts.append(BallVertex(len(verts), words.free_reduce(verts[vid].word + mv), dist))
                 other = key_to_id.get(key)
                 if other is not None and other != vid:
                     e = frozenset((vid, other))

@@ -27,6 +27,7 @@ from .complexes import (
     normally_generates,
     reduced_homology,
 )
+from .normal_forms import NormalFormError
 from .presentations import GroupPresentation, Homomorphism, build_P, build_RAAG, build_RACG
 from .word_engine import (
     REFUTED,
@@ -158,6 +159,9 @@ def cmd_ball(args) -> int:
     # a ball needs no budget, but --budget is common to every subcommand and a
     # malformed one is a usage error
     _parse_budget(args.budget)
+    if args.radius < 0:
+        sys.stderr.write(f"radius must be nonnegative, got {args.radius}\n")
+        return EXIT_USAGE
     try:
         oracle, gens = _make_oracle(args.oracle, args)
         if args.gens:
@@ -166,6 +170,9 @@ def cmd_ball(args) -> int:
     except cayley.OracleInsufficient as exc:
         sys.stderr.write(f"oracle insufficient: {exc}\n")
         return EXIT_BUDGET
+    except NormalFormError as exc:
+        sys.stderr.write(f"bad generators: {exc}\n")
+        return EXIT_USAGE
     if args.format == "dot":
         sys.stdout.write(ball.to_dot())
     else:
@@ -198,6 +205,9 @@ def cmd_spectrum(args) -> int:
     except cayley.OracleInsufficient as exc:
         sys.stderr.write(f"oracle insufficient: {exc}\n")
         return EXIT_BUDGET
+    except NormalFormError as exc:
+        sys.stderr.write(f"bad generators: {exc}\n")
+        return EXIT_USAGE
     _emit(_spectrum_report(sp), args.out)
     if any(s.status == UNKNOWN for s in sp.statuses):
         return EXIT_BUDGET

@@ -13,7 +13,9 @@ Cartier-Foata 1969) one letter at a time.  Appending a letter c:
   with c, so none shares its generator and the sign never decides.
 
 Two words are equal in the group iff their normal forms coincide.  Appending
-costs O(n), a whole word O(n^2).
+costs O(n), a whole word O(n^2).  Since the form is built left to right, the
+form of u v is that of v appended to the form of u: ``normal_form(v, start)``
+extends a form already computed instead of redoing it.
 """
 
 from __future__ import annotations
@@ -58,9 +60,11 @@ class RightAngledEngine:
             for c in letters
         }
 
-    def normal_form(self, letters: Iterable[int]) -> tuple[int, ...]:
+    def normal_form(self, letters: Iterable[int], start: Sequence[int] = ()) -> tuple[int, ...]:
+        """Normal form of the word ``start`` then ``letters``, where ``start``
+        is a normal form."""
         inverse, blockers = self._inverse, self._blockers
-        nf: list[int] = []
+        nf = list(start)
         for c in letters:
             block = blockers[c]
             i = len(nf)
@@ -127,6 +131,18 @@ def raag_normal_form(complex_, w: Word) -> Word:
     return eng.decode(eng.normal_form(eng.encode(word(w))))
 
 
+def table_letters(table, w: Word) -> list[int]:
+    """Engine letters of a word, each (symbol, exponent) looked up in a table
+    of letter tuples."""
+    letters: list[int] = []
+    try:
+        for sym, exp in w:
+            letters += table[sym, exp]
+    except KeyError:
+        raise NormalFormError(f"unknown letter {(sym, exp)!r}") from None
+    return letters
+
+
 class BBMap:
     """``bb_image`` with one engine and one table from (edge symbol, exponent)
     to letter pair for every call."""
@@ -142,15 +158,10 @@ class BBMap:
                     self.letters[sym, 1] = (index[x], -index[y])
                     self.letters[sym, -1] = (index[y], -index[x])
 
-    def normal_form(self, w: Word) -> tuple[int, ...]:
-        """Normal form of the image, as engine letters."""
-        letters: list[int] = []
-        try:
-            for sym, exp in w:
-                letters += self.letters[sym, exp]
-        except KeyError:
-            raise NormalFormError(f"unknown edge letter {(sym, exp)!r}") from None
-        return self.engine.normal_form(letters)
+    def normal_form(self, w: Word, start: Sequence[int] = ()) -> tuple[int, ...]:
+        """Normal form of the image of w, as engine letters, appended to the
+        normal form ``start``."""
+        return self.engine.normal_form(table_letters(self.letters, w), start)
 
     def image(self, w: Word) -> Word:
         return self.engine.decode(self.normal_form(w))

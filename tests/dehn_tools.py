@@ -95,8 +95,8 @@ class SmallCancellationOracle:
         z = sum(1 if c == 3 else -1 if c == -3 else 0 for c in codes)
         return (x - 2 * z, y, z % 2)
 
-    def normal_form(self, w):
-        codes = encode(w)
+    def normal_form(self, w, start=()):
+        codes = reduce_ints(start + encode(w))
         known = self._memo.get(codes)
         if known is not None:
             return known

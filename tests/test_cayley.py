@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tautloop.cayley import (
     BBOracle,
@@ -17,7 +20,7 @@ from tautloop.cayley import (
     graph_distance,
 )
 from tautloop.complexes import SimpleGraph, flag_completion
-from tautloop.presentations import build_RACG
+from tautloop.presentations import GroupPresentation, build_RACG
 from tautloop.words import word
 
 
@@ -103,8 +106,8 @@ def test_recentering_gives_isomorphic_ball():
             self.base = base
             self.shift = shift
 
-        def normal_form(self, w):
-            return self.base.normal_form(self.shift + tuple(w))
+        def normal_form(self, w, start=None):
+            return self.base.normal_form(tuple(w), self.base.normal_form(self.shift) if start is None else start)
 
     b0 = build_ball(oracle, ["u", "v", "w"], 2)
     b1 = build_ball(Shifted(oracle, word([("w", 1)])), ["u", "v", "w"], 2)
@@ -142,11 +145,11 @@ def test_complete_graph_triangles():
     class KleinK4:
         tag = "klein-k4"
 
-        def normal_form(self, w):
+        def normal_form(self, w, start=0):
             flat = []
             for s, e in w:
                 flat.extend([("u", 1), ("v", 1)] if s == "p" else [(s, e)])
-            return oracle.normal_form(tuple(flat))
+            return oracle.normal_form(tuple(flat), start)
 
     ball = build_ball(KleinK4(), ["u", "v", "p"], 2)
     assert len(ball.vertices) == 4
@@ -228,3 +231,71 @@ def test_closed_walks_match_a_brute_force_count(g):
     for length in range(3, 7):
         assert counts.get(length, 0) == _brute_force_closed_walks(g, length)
     assert [len(c) for c, _ in found] == sorted(len(c) for c, _ in found)
+
+
+C4 = graph("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
+C5 = graph("01234", [(str(i), str((i + 1) % 5)) for i in range(5)])
+
+
+def _edge_gens(g):
+    return [f"e:{u}:{v}" for u, v in g.sorted_edges()]
+
+
+def _s3():
+    a, b = ("a", 1), ("b", 1)
+    return GroupPresentation.build("ab", [(a, a), (b, b), (a, b) * 3])
+
+
+# name -> (oracle, generator symbols)
+ORACLES = {
+    "free-pair": lambda: (FreeGroupOracle(["a", "b", "A"], [("a", "A")]), ["a", "b", "A"]),
+    "zmod5": lambda: (ZModOracle(5), ["t"]),
+    "zmod0": lambda: (ZModOracle(0), ["t"]),
+    "coset-s3": lambda: (CosetTableOracle(_s3()), ["a", "b"]),
+    "raag-c4": lambda: (RaagOracle(flag_completion(C4)), list(C4.vertices)),
+    "raag-c5": lambda: (RaagOracle(flag_completion(C5)), list(C5.vertices)),
+    "racg-c4": lambda: (RacgOracle(C4), list(C4.vertices)),
+    "racg-c5": lambda: (RacgOracle(C5), list(C5.vertices)),
+    "bb-c4": lambda: (BBOracle(flag_completion(C4)), _edge_gens(C4)),
+    "bb-c5": lambda: (BBOracle(flag_completion(C5)), _edge_gens(C5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_key_extended_by_a_word_is_the_key_of_the_product(name, data):
+    oracle, gens = ORACLES[name]()
+    words_ = st.lists(st.tuples(st.sampled_from(gens), st.sampled_from((1, -1))), max_size=8).map(tuple)
+    w1, w2 = data.draw(words_), data.draw(words_)
+    assert oracle.normal_form(w2, oracle.normal_form(w1)) == oracle.normal_form(w1 + w2)
+    assert oracle.normal_form((), oracle.normal_form(w1)) == oracle.normal_form(w1)
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# SHA-256 of dumps() and to_dot(), computed with the whole word renormalised
+# at every move
+@pytest.mark.parametrize("oracle, gens, radius, json_sha, dot_sha", [
+    (lambda: RacgOracle(C5), list(C5.vertices), 5,
+     "b462e29c9f536e89bba3c59e5d41b4669a32acc9ee93ede5dc6ba0f3fc8f0427",
+     "18b96faebdc77e68f6a1b62cccd365ecbdd576f6f29e5b103d6b7f804fd7cd4f"),
+    (lambda: RaagOracle(flag_completion(C5)), list(C5.vertices), 4,
+     "d7a1757faf6b5ec03f9c9ee95c9baa78aa115c434089f1e52d38ad3f0e274314",
+     "e1ba7fcf918f273598cc3351b9a96b970c13113e694bba1b2f30839b862aa120"),
+    (lambda: BBOracle(flag_completion(C4)), _edge_gens(C4), 4,
+     "2fc44176b9f5f9ad0c5858f5119aa3ee6d83f7c6b036c7768576ac2e5b0246b7",
+     "95fe397e0105cafe57f505df112f2d1bb6631e0ad2785535f5a45002f85c8ff1"),
+    (lambda: FreeGroupOracle(["a", "b"]), ["a", "b"], 3,
+     "750e5f89f79d1656e3039ac2fe208ec08e75b4314bf2f22d29e03355249622e6",
+     "760ec20af31164bbc17ef673d8c0094a3dfcbc68e2db87e1f3567e2692ecff1c"),
+    (lambda: ZModOracle(5), ["t"], 4,
+     "b29e5492aca3be3b2e8b324d44f455f82bbbde6966017249662059b31c40389f",
+     "00d204e9aad9de21b54dac9628a014d33695ab19d105a69780ed734bd7c0aa30"),
+], ids=["racg-c5-r5", "raag-c5-r4", "bb-c4-r4", "free-ab-r3", "zmod5-r4"])
+def test_frozen_ball_bytes(oracle, gens, radius, json_sha, dot_sha):
+    ball = build_ball(oracle(), gens, radius)
+    assert _digest(ball.dumps()) == json_sha
+    assert _digest(ball.to_dot()) == dot_sha

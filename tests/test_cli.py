@@ -327,3 +327,28 @@ def test_verify_cert_malformed_report_is_a_usage_error(files, capsys, content):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1
+
+
+def test_ball_with_unknown_generator_is_a_usage_error(files, capsys):
+    code = main(["ball", "--oracle", "raag", "--complex", files["c4"], "--gens", "0,zz", "--radius", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'zz'" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("oracle, gens", [("bb", "zz,e:0:1"), ("raag", "0,zz"), ("racg", "0,zz")])
+def test_spectrum_with_unknown_generator_is_a_usage_error(files, capsys, oracle, gens):
+    code = main(["spectrum", "--oracle", oracle, "--complex", files["c4"], "--gens", gens, "--horizon", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'zz'" in captured.err and captured.err.count("\n") == 1
+
+
+def test_ball_with_negative_radius_is_a_usage_error(files, capsys):
+    code = main(["ball", "--oracle", "zmod:5", "--radius", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "radius" in captured.err and captured.err.count("\n") == 1

@@ -210,3 +210,18 @@ def test_bb_image_matches_two_phase_reference(g):
             letters += (i, -j) if exp == 1 else (j, -i)
         expected = tuple((cx.vertices[abs(c) - 1], 1 if c > 0 else -1) for c in ref.normal_form(letters))
         assert bb_image(cx, word((f"e:{x}:{y}", e) for (x, y), e in w0)) == expected, w0
+
+
+@pytest.mark.parametrize("engine, reference, letter", [
+    (TitsEngine, TwoPhaseTits, lambda n: st.integers(0, n - 1)),
+    (RaagEngine, TwoPhaseRaag, lambda n: st.integers(-n, n).filter(bool)),
+], ids=["racg", "raag"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_normal_form_from_a_start_matches_two_phase_reference(engine, reference, letter, data):
+    # the form of a then b, built on the form of a, is the reference form of a b
+    g = random_graph(random.Random(data.draw(st.integers(0, 2**32 - 1))))
+    eng, ref = engine(g.vertices, g.edges), reference(g.vertices, g.edges)
+    codes = st.lists(letter(len(g.vertices)), max_size=12)
+    a, b = data.draw(codes), data.draw(codes)
+    assert eng.normal_form(b, start=eng.normal_form(a)) == ref.normal_form(a + b)
