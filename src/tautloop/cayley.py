@@ -16,11 +16,18 @@ import json
 from dataclasses import dataclass, field
 
 from . import normal_forms, words
+from .presentations import PresentationError
 from .words import Word
 
 
 class OracleInsufficient(RuntimeError):
     """An equality needed for ball construction did not resolve."""
+
+
+class UnknownGenerator(normal_forms.NormalFormError, OracleInsufficient):
+    """A symbol none of the oracle's generators name.  It is malformed input,
+    a ``NormalFormError`` as the right-angled oracles raise, and also an
+    ``OracleInsufficient``: the oracle cannot decide a word over it."""
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +47,9 @@ class FreeGroupOracle:
         self.tag = f"free({','.join(self.symbols)})"
 
     def normal_form(self, w: Word, start: Word = ()):
+        for sym, _ in w:
+            if sym not in self.symbols and sym not in self.pairing:
+                raise UnknownGenerator(f"unknown generator {sym!r}")
         return words.free_reduce(start + words.normalize(w, self.pairing))
 
 
@@ -96,7 +106,7 @@ class ZModOracle:
         total = start
         for sym, exp in words.word(w):
             if sym != self.symbol:
-                raise OracleInsufficient(f"unknown generator {sym!r}")
+                raise UnknownGenerator(f"unknown generator {sym!r}")
             total += exp
         return total % self.n if self.n else total
 
@@ -115,7 +125,10 @@ class CosetTableOracle:
         self.tag = f"coset({table.n_cosets})"
 
     def normal_form(self, w: Word, start: int = 0):
-        return self.table.trace(start, self.pres.encode(w))
+        try:
+            return self.table.trace(start, self.pres.encode(w))
+        except PresentationError as exc:
+            raise UnknownGenerator(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,19 @@ def _emit(data, out=None) -> None:
         sys.stdout.write(text)
 
 
+def _usage_error(message: str):
+    """Reject malformed input as argparse does: one line on stderr, exit 2."""
+    sys.stderr.write(f"{message}\n")
+    raise SystemExit(EXIT_USAGE)
+
+
+def _reject_negative(name: str, value: int) -> bool:
+    """Report a negative ``--radius`` or ``--horizon``; malformed input."""
+    if value < 0:
+        sys.stderr.write(f"{name} must be nonnegative, got {value}\n")
+    return value < 0
+
+
 def _parse_budget(text: str | None) -> Budget:
     if not text:
         return Budget()
@@ -66,7 +79,7 @@ def _parse_budget(text: str | None) -> Budget:
     for part in text.split(","):
         key, _, val = part.partition(":")
         if key not in fields or not val.isdigit():
-            raise SystemExit(f"bad budget component {part!r}")
+            _usage_error(f"bad budget component {part!r}")
         fields[key] = int(val)
     return Budget(fields["cosets"], fields["deductions"], fields["depth"])
 
@@ -88,6 +101,8 @@ def _make_oracle(spec: str, args):
     if kind == "free":
         return cayley.FreeGroupOracle(arg.split(",")), arg.split(",")
     if kind == "zmod":
+        if not arg.isdigit():
+            _usage_error(f"bad order in oracle {spec!r}")
         return cayley.ZModOracle(int(arg)), ["t"]
     if kind == "racg":
         graph = _load_complex(args.complex).graph()
@@ -102,7 +117,7 @@ def _make_oracle(spec: str, args):
     if kind == "coset":
         pres = GroupPresentation.from_json(_load_json(arg))
         return cayley.CosetTableOracle(pres), list(pres.core_generators())
-    raise SystemExit(f"unknown oracle {spec!r}")
+    _usage_error(f"unknown oracle {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +174,19 @@ def cmd_ball(args) -> int:
     # a ball needs no budget, but --budget is common to every subcommand and a
     # malformed one is a usage error
     _parse_budget(args.budget)
-    if args.radius < 0:
-        sys.stderr.write(f"radius must be nonnegative, got {args.radius}\n")
+    if _reject_negative("radius", args.radius):
         return EXIT_USAGE
     try:
         oracle, gens = _make_oracle(args.oracle, args)
         if args.gens:
             gens = args.gens.split(",")
         ball = cayley.build_ball(oracle, gens, args.radius)
-    except cayley.OracleInsufficient as exc:
-        sys.stderr.write(f"oracle insufficient: {exc}\n")
-        return EXIT_BUDGET
     except NormalFormError as exc:
         sys.stderr.write(f"bad generators: {exc}\n")
         return EXIT_USAGE
+    except cayley.OracleInsufficient as exc:
+        sys.stderr.write(f"oracle insufficient: {exc}\n")
+        return EXIT_BUDGET
     if args.format == "dot":
         sys.stdout.write(ball.to_dot())
     else:
@@ -193,6 +207,8 @@ def _spectrum_report(sp: Spectrum) -> dict:
 
 def cmd_spectrum(args) -> int:
     budget = _parse_budget(args.budget)
+    if _reject_negative("horizon", args.horizon):
+        return EXIT_USAGE
     try:
         if args.graph:
             graph = SimpleGraph.build(**_load_json(args.graph))
@@ -202,12 +218,12 @@ def cmd_spectrum(args) -> int:
             if args.gens:
                 gens = args.gens.split(",")
             sp = compute_spectrum(oracle, gens, args.horizon, budget)
-    except cayley.OracleInsufficient as exc:
-        sys.stderr.write(f"oracle insufficient: {exc}\n")
-        return EXIT_BUDGET
     except NormalFormError as exc:
         sys.stderr.write(f"bad generators: {exc}\n")
         return EXIT_USAGE
+    except cayley.OracleInsufficient as exc:
+        sys.stderr.write(f"oracle insufficient: {exc}\n")
+        return EXIT_BUDGET
     _emit(_spectrum_report(sp), args.out)
     if any(s.status == UNKNOWN for s in sp.statuses):
         return EXIT_BUDGET
@@ -230,12 +246,12 @@ def cmd_schedule(args) -> int:
         beta = sched_mod.beta_of(cx, omega)
     else:
         if args.d is None or args.beta is None:
-            raise SystemExit("need either --complex/--omega or --d/--beta")
+            _usage_error("need either --complex/--omega or --d/--beta")
         d, beta = args.d, args.beta
     c = args.C if args.C else sched_mod.choose_C(d, beta)
     for n in _parse_ints(args.f) + _parse_ints(args.fprime):
         if n > 20:
-            raise SystemExit("schedule indices above 20 are rejected")
+            _usage_error("schedule indices above 20 are rejected")
     constants = sched_mod.Constants(d, beta, c)
     report = sched_mod.schedule_report(
         constants, args.nmax, _parse_ints(args.f), _parse_ints(args.fprime)
@@ -245,6 +261,8 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_kernel_search(args) -> int:
+    if _reject_negative("radius", args.radius):
+        return EXIT_USAGE
     cx = _load_complex(args.complex)
     omega = _load_omega(args.omega)
     s_set, t_set = set(_parse_ints(args.s)), set(_parse_ints(args.t))

@@ -876,9 +876,33 @@ class KernelSearchResult:
         }
 
 
-def _reduced_words_of_length(n_core: int, length: int, rows):
+def _letters_to_kill(data, rows, depth: int):
+    """A function from coordinates to the fewest letters, with abelian images
+    ``rows``, whose sum kills them, or ``depth + 1`` past ``depth``.  Images
+    take torsion coordinates mod their Smith factor and keep free ones whole.
+    The table is a breadth-first search from 0 over ``rows``, which is closed
+    under inverses: the inverses of the letters reaching an image kill it."""
+    core, diag, _ = data
+    mods = tuple(diag) + (0,) * len(core)
+
+    def image(coords):
+        return tuple(x % m if m else x for x, m in zip(coords, mods))
+
+    steps = {image((0,) * len(core)): 0}
+    frontier = set(steps)
+    for d in range(1, depth + 1):
+        frontier = {image(map(add, g, row)) for g in frontier for row in rows.values()}
+        frontier.difference_update(steps)
+        steps.update(dict.fromkeys(frontier, d))
+    return lambda coords: steps.get(image(coords), depth + 1)
+
+
+def _reduced_words_of_length(n_core: int, length: int, rows, needs):
     """Freely reduced signed-index words, lexicographic within each length,
-    each with the sum of its letters' ``rows`` (letter code -> tuple)."""
+    whose letters' ``rows`` (letter code -> tuple) sum to coordinates that
+    die.  A prefix of p letters with r < p left is cut when ``needs`` of its
+    sum exceeds r; one with r >= p is not looked up, as its own inverse
+    kills it in p letters."""
     alphabet = [(c, rows[c]) for i in range(1, n_core + 1) for c in (i, -i)]
 
     def extend(prefix: tuple[int, ...], coords: tuple[int, ...], remaining: int):
@@ -886,10 +910,13 @@ def _reduced_words_of_length(n_core: int, length: int, rows):
         for c, row in alphabet:
             if c != back:
                 word, total = prefix + (c,), tuple(map(add, coords, row))
-                if remaining == 1:
-                    yield word, total
+                left = remaining - 1
+                if left < len(word) and needs(total) > left:
+                    continue
+                if left:
+                    yield from extend(word, total, left)
                 else:
-                    yield from extend(word, total, remaining - 1)
+                    yield word
 
     yield from extend((), (0,) * len(rows[1]) if n_core else (), length)
 
@@ -906,11 +933,11 @@ def kernel_shortest_element(
     """Shortest word trivial in the target but not in the source, under the
     identity on generators, the one ``quotient`` accepted.
 
-    Breadth-first over freely reduced words.  The target's abelianization,
-    summed one letter at a time, settles each word before the engine: only
-    words that die there are decoded and handed to the engines.  The result
-    is certified minimal only when every shorter word resolved conclusively,
-    otherwise it is flagged minimal-up-to-Unknowns.
+    Breadth-first over freely reduced words, summed one letter at a time in
+    the target's abelianization: a prefix is cut once the letters left cannot
+    kill its sum, so only words that die there are built, decoded and handed
+    to the engines.  The result is certified minimal only when every shorter
+    word resolved conclusively, otherwise it is flagged minimal-up-to-Unknowns.
     """
     if set(pres_s.generators) != set(pres_t.generators):
         raise ValueError("kernel search needs identical generating symbols")
@@ -923,14 +950,14 @@ def kernel_shortest_element(
     abelian_t = eng_t._abelian
     letters = [c for i in range(1, n_core + 1) for c in (i, -i)]
     rows = {c: _abelian_coords(abelian_t, pres_t.encode(pres_s.decode((c,)))) for c in letters}
+    needs = _letters_to_kill(abelian_t, rows, (radius - 1) // 2)
     unknown_count = 0
     certified_lower_bound = 0
     for length in range(1, radius + 1):
-        for codes, coords in _reduced_words_of_length(n_core, length, rows):
-            # the target's engine would refute it by its abelianization; the
-            # one route before, free reduction, proves only coordinates 0
-            if _abelian_obstruction(abelian_t, coords) is not None:
-                continue
+        # only the words that die in the target's abelianization: its engine
+        # refutes every other word there, and the one route before, free
+        # reduction, proves only words whose coordinates are 0
+        for codes in _reduced_words_of_length(n_core, length, rows, needs):
             w = pres_s.decode(codes)
             in_t = eng_t.is_trivial(w)
             in_s = eng_s.is_trivial(w) if in_t.proved else None

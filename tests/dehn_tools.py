@@ -27,6 +27,37 @@ _BY_FIRST: dict[int, list[tuple[int, ...]]] = {}
 for _v in _VARIANTS:
     _BY_FIRST.setdefault(_v[0], []).append(_v)
 
+# Three permutation quotients of the group, of degrees 3, 4 and 5: the images
+# of a, b and c as permutations of 0..n-1.  The relator maps to the identity
+# in each (asserted below), so equal words have equal images.
+QUOTIENTS = (
+    ((0, 2, 1), (2, 1, 0), (2, 0, 1)),
+    ((2, 0, 1, 3), (3, 2, 0, 1), (3, 0, 2, 1)),
+    ((2, 3, 4, 0, 1), (3, 1, 4, 2, 0), (0, 3, 2, 1, 4)),
+)
+
+
+def _code_table(perms) -> dict[int, tuple[int, ...]]:
+    table = {}
+    for i, p in enumerate(perms, 1):
+        table[i] = tuple(p)
+        table[-i] = tuple(sorted(range(len(p)), key=p.__getitem__))  # p^-1
+    return table
+
+
+def permutation_image(codes, table) -> tuple[int, ...]:
+    """The permutation a code word maps to, letters applied left to right."""
+    state = tuple(range(len(table[1])))
+    for c in codes:
+        p = table[c]
+        state = tuple(p[x] for x in state)
+    return state
+
+
+_QUOTIENT_TABLES = [_code_table(perms) for perms in QUOTIENTS]
+for _table in _QUOTIENT_TABLES:
+    assert permutation_image(RELATOR, _table) == tuple(range(len(_table[1])))
+
 
 def piece_lengths(relator) -> set[int]:
     """Lengths of repeated cyclic subwords; C'(1/6) at length 8 needs max 1."""
@@ -79,21 +110,24 @@ class SmallCancellationOracle:
 
     Keys are representative code tuples; candidate representatives are
     bucketed by the image in Z^3 / <(4, 0, 2)> (the relator's exponent
-    vector) so the quadratic pairwise comparison stays local.
+    vector) and in the three ``QUOTIENTS`` so the quadratic pairwise
+    comparison stays local.  Equal words share a bucket, and Dehn's
+    algorithm alone decides equality within it.
     """
 
     tag = "c16(aabab^-1acc)"
 
     def __init__(self):
         self._memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self._buckets: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
+        self._buckets: dict[tuple, list[tuple[int, ...]]] = {}
 
     @staticmethod
-    def _coset_key(codes) -> tuple[int, int, int]:
+    def _coset_key(codes) -> tuple:
         x = sum(1 if c == 1 else -1 if c == -1 else 0 for c in codes)
         y = sum(1 if c == 2 else -1 if c == -2 else 0 for c in codes)
         z = sum(1 if c == 3 else -1 if c == -3 else 0 for c in codes)
-        return (x - 2 * z, y, z % 2)
+        images = tuple(permutation_image(codes, t) for t in _QUOTIENT_TABLES)
+        return (x - 2 * z, y, z % 2) + images
 
     def normal_form(self, w, start=()):
         codes = reduce_ints(start + encode(w))

@@ -4,9 +4,16 @@ Every freely reduced word is decoded and handed to the target's engine, and
 the source's engine decides the words the target proves trivial; nothing is
 settled before the engine.  The library's search skips the words that the
 target's abelianization refutes, so its results must equal these.
+
+``reduced_words_with_sums`` is the library's enumerator before it cut the
+prefixes that can no longer die in the target's abelianization: it builds
+every freely reduced word and sums its letters' rows, so the words whose sums
+die are the reference for the pruned enumerator.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from tautloop.word_engine import Budget, KernelSearchResult, WordProblemEngine
 
@@ -25,6 +32,24 @@ def reduced_words_of_length(n_core: int, length: int):
             yield from extend(prefix + (c,), remaining - 1)
 
     yield from extend((), length)
+
+
+def reduced_words_with_sums(n_core: int, length: int, rows):
+    """Freely reduced signed-index words, lexicographic within each length,
+    each with the sum of its letters' ``rows`` (letter code -> tuple)."""
+    alphabet = [(c, rows[c]) for i in range(1, n_core + 1) for c in (i, -i)]
+
+    def extend(prefix: tuple[int, ...], coords: tuple[int, ...], remaining: int):
+        back = -prefix[-1] if prefix else 0
+        for c, row in alphabet:
+            if c != back:
+                word, total = prefix + (c,), tuple(map(add, coords, row))
+                if remaining == 1:
+                    yield word, total
+                else:
+                    yield from extend(word, total, remaining - 1)
+
+    yield from extend((), (0,) * len(rows[1]) if n_core else (), length)
 
 
 def kernel_search(pres_s, pres_t, radius, budget=None, homs_s=(), homs_t=()):

@@ -337,7 +337,10 @@ def test_ball_with_unknown_generator_is_a_usage_error(files, capsys):
     assert "'zz'" in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("oracle, gens", [("bb", "zz,e:0:1"), ("raag", "0,zz"), ("racg", "0,zz")])
+@pytest.mark.parametrize(
+    "oracle, gens",
+    [("bb", "zz,e:0:1"), ("raag", "0,zz"), ("racg", "0,zz"), ("zmod:5", "zz"), ("free:a,b", "a,zz")],
+)
 def test_spectrum_with_unknown_generator_is_a_usage_error(files, capsys, oracle, gens):
     code = main(["spectrum", "--oracle", oracle, "--complex", files["c4"], "--gens", gens, "--horizon", "4"])
     captured = capsys.readouterr()
@@ -352,3 +355,52 @@ def test_ball_with_negative_radius_is_a_usage_error(files, capsys):
     assert code == 2
     assert captured.out == ""
     assert "radius" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ball", "--oracle", "zmod:5", "--radius", "2", "--budget", "foo"], "budget"),
+        (["ball", "--oracle", "nope", "--radius", "2"], "oracle"),
+        (["ball", "--oracle", "zmod:x", "--radius", "2"], "zmod:x"),
+        (["schedule", "--d", "1", "--beta", "4", "--f", "21"], "indices"),
+    ],
+    ids=["budget", "oracle", "zmod-order", "schedule-index"],
+)
+def test_malformed_argument_exits_with_the_usage_code(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["spectrum", "kernel-search"])
+def test_negative_horizon_or_radius_is_a_usage_error(files, capsys, command):
+    if command == "spectrum":
+        argv = ["spectrum", "--oracle", "zmod:5", "--horizon", "-1"]
+    else:
+        argv = ["kernel-search", "--complex", files["c4"], "--omega", files["boundary"],
+                "--s", "0", "--t", "0,2", "--radius", "-1"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "-1" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("oracle, gens", [("zmod:5", "zz"), ("free:a,b", "a,zz"), ("coset", "a,zz")])
+def test_ball_with_unknown_generator_is_a_usage_error_for_every_oracle(files, capsys, oracle, gens):
+    if oracle == "coset":
+        klein = {
+            "generators": ["a", "b"],
+            "relators": [[["a", 1], ["a", 1]], [["b", 1], ["b", 1]], [["a", 1], ["b", 1], ["a", 1], ["b", 1]]],
+            "inverse_pairs": [],
+        }
+        oracle = "coset:" + files["dump"]("klein.json", klein)
+    code = main(["ball", "--oracle", oracle, "--gens", gens, "--radius", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'zz'" in captured.err and captured.err.count("\n") == 1

@@ -23,8 +23,10 @@ from tautloop.word_engine import (
     TriState,
     WordProblemEngine,
     _abelian_coords,
+    _abelian_data,
     _abelian_obstruction,
     _abelian_quotient,
+    _letters_to_kill,
     _reduced_words_of_length,
     abelian_witness,
     certificate_from_json,
@@ -258,7 +260,7 @@ def test_abelian_obstruction_agrees_with_the_engine_route():
     v = [list(rows[j]) for j in range(1, n_core + 1)]
     survivors = 0
     for length in range(1, 5):
-        for codes, coords in _reduced_words_of_length(n_core, length, rows):
+        for codes, coords in per_word_kernel_search.reduced_words_with_sums(n_core, length, rows):
             assert list(coords) == mat_vec(list(exponent_vector(codes, n_core)), v)
             word = p.decode(codes)
             found = _abelian_obstruction(data, coords)
@@ -272,6 +274,57 @@ def test_abelian_obstruction_agrees_with_the_engine_route():
                 assert state.refuted and state.certificate == witness
                 assert witness.degree == found[1]
     assert survivors == 48
+
+
+@pytest.mark.parametrize(
+    "p_s, p_t",
+    [
+        # Smith diagonal [2]: one coordinate mod 2, the rest whole
+        _c4_kernel_case({0}, {0, 2}, 6)[:2],
+        (pres("ab"), pres("ab", "a a a")),
+        (pres("ab"), pres("ba")),
+        (pres("aAb"), pres("bAa", "a b a b-", pairs=[("a", "A")])),
+        (pres(""), pres("")),
+    ],
+    ids=["c4-0-02", "a-cubed", "no-relators", "pairs", "no-core"],
+)
+def test_pruned_words_are_the_reference_survivors_in_order(p_s, p_t):
+    """The cut drops only words whose sum the target's abelianization does
+    not kill, so the survivors and their order are the unpruned reference's."""
+    data = _abelian_data(p_t)
+    n_core = len(p_s.core_generators())
+    rows = {
+        c: _abelian_coords(data, p_t.encode(p_s.decode((c,))))
+        for i in range(1, n_core + 1)
+        for c in (i, -i)
+    }
+    radius = 6
+    needs = _letters_to_kill(data, rows, (radius - 1) // 2)
+    for length in range(1, radius + 1):
+        want = [
+            codes
+            for codes, coords in per_word_kernel_search.reduced_words_with_sums(n_core, length, rows)
+            if _abelian_obstruction(data, coords) is None
+        ]
+        assert list(_reduced_words_of_length(n_core, length, rows, needs)) == want
+
+
+def test_kernel_c4_to_radius_seven_is_frozen():
+    """P(C4,{0}) -> P(C4,{0,2}) at radius 7, the benchmark's kernel inputs;
+    the values were computed by the unpruned per-word-filter search."""
+    p_s, p_t, radius, homs = _c4_kernel_case({0}, {0, 2}, 7)
+    quotient = Homomorphism.identity_on_generators(p_s, p_t)
+    result = kernel_shortest_element(
+        p_s, p_t, quotient, radius, KERNEL_BUDGET, homs_s=homs, homs_t=homs
+    )
+    assert result.to_json() == {
+        "found": False,
+        "length": None,
+        "word": None,
+        "certified_lower_bound": 8,
+        "minimal_up_to_unknowns": False,
+        "unknown_count": 0,
+    }
 
 
 def test_bb_image_hom_registration():
