@@ -122,7 +122,7 @@ class CosetTableOracle:
         if not isinstance(table, CosetTable) or not table.complete:
             raise OracleInsufficient("coset enumeration did not complete in budget")
         self.table = table
-        self.tag = f"coset({table.n_cosets})"
+        self.tag = f"coset({len(table.rows)})"
 
     def normal_form(self, w: Word, start: int = 0):
         try:

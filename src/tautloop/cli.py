@@ -2,8 +2,9 @@
 
 Subcommands bind the library modules to JSON files on disk.  Exit codes:
 0 success, 1 a checked claim was refuted (or a counterexample found),
-2 usage error, 3 budget exhausted / inconclusive.  All output is
-deterministic: same inputs and flags, byte-identical reports.
+2 usage error or unreadable or malformed input, 3 budget exhausted /
+inconclusive.  ``main`` maps the errors of every subcommand to 2 and 3.  All
+output is deterministic: same inputs and flags, byte-identical reports.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ from .complexes import (
     FlagComplex,
     OmegaSet,
     SimpleGraph,
+    edge_symbol,
     normally_generates,
     reduced_homology,
 )
-from .normal_forms import NormalFormError
 from .presentations import GroupPresentation, Homomorphism, build_P, build_RAAG, build_RACG
 from .word_engine import (
     REFUTED,
@@ -104,6 +105,8 @@ def _make_oracle(spec: str, args):
         if not arg.isdigit():
             _usage_error(f"bad order in oracle {spec!r}")
         return cayley.ZModOracle(int(arg)), ["t"]
+    if kind in ("racg", "raag", "bb") and not args.complex:
+        _usage_error(f"oracle {kind!r} needs --complex")
     if kind == "racg":
         graph = _load_complex(args.complex).graph()
         return cayley.RacgOracle(graph), list(graph.vertices)
@@ -112,7 +115,7 @@ def _make_oracle(spec: str, args):
         return cayley.RaagOracle(cx), list(cx.vertices)
     if kind == "bb":
         cx = _load_complex(args.complex)
-        gens = [f"e:{u}:{v}" for u, v in cx.graph().sorted_edges()]
+        gens = [edge_symbol(u, v) for u, v in cx.graph().sorted_edges()]
         return cayley.BBOracle(cx), gens
     if kind == "coset":
         pres = GroupPresentation.from_json(_load_json(arg))
@@ -176,17 +179,10 @@ def cmd_ball(args) -> int:
     _parse_budget(args.budget)
     if _reject_negative("radius", args.radius):
         return EXIT_USAGE
-    try:
-        oracle, gens = _make_oracle(args.oracle, args)
-        if args.gens:
-            gens = args.gens.split(",")
-        ball = cayley.build_ball(oracle, gens, args.radius)
-    except NormalFormError as exc:
-        sys.stderr.write(f"bad generators: {exc}\n")
-        return EXIT_USAGE
-    except cayley.OracleInsufficient as exc:
-        sys.stderr.write(f"oracle insufficient: {exc}\n")
-        return EXIT_BUDGET
+    oracle, gens = _make_oracle(args.oracle, args)
+    if args.gens:
+        gens = args.gens.split(",")
+    ball = cayley.build_ball(oracle, gens, args.radius)
     if args.format == "dot":
         sys.stdout.write(ball.to_dot())
     else:
@@ -209,21 +205,16 @@ def cmd_spectrum(args) -> int:
     budget = _parse_budget(args.budget)
     if _reject_negative("horizon", args.horizon):
         return EXIT_USAGE
-    try:
-        if args.graph:
-            graph = SimpleGraph.build(**_load_json(args.graph))
-            sp = spectrum_of_graph(graph, args.horizon, budget)
-        else:
-            oracle, gens = _make_oracle(args.oracle, args)
-            if args.gens:
-                gens = args.gens.split(",")
-            sp = compute_spectrum(oracle, gens, args.horizon, budget)
-    except NormalFormError as exc:
-        sys.stderr.write(f"bad generators: {exc}\n")
-        return EXIT_USAGE
-    except cayley.OracleInsufficient as exc:
-        sys.stderr.write(f"oracle insufficient: {exc}\n")
-        return EXIT_BUDGET
+    if not (args.graph or args.oracle):
+        _usage_error("spectrum needs --graph or --oracle")
+    if args.graph:
+        graph = SimpleGraph.build(**_load_json(args.graph))
+        sp = spectrum_of_graph(graph, args.horizon, budget)
+    else:
+        oracle, gens = _make_oracle(args.oracle, args)
+        if args.gens:
+            gens = args.gens.split(",")
+        sp = compute_spectrum(oracle, gens, args.horizon, budget)
     _emit(_spectrum_report(sp), args.out)
     if any(s.status == UNKNOWN for s in sp.statuses):
         return EXIT_BUDGET
@@ -297,8 +288,8 @@ def cmd_semiker(args) -> int:
     ga_t, orbits_t = davis.instance_from_json(_load_json(args.instance_t))
     quotient = Homomorphism.identity_on_generators(ga_s.group, ga_t.group)
     report = davis.semiker_experiment(
-        (ga_s, orbits_s, ga_s.group),
-        (ga_t, orbits_t, ga_t.group),
+        (ga_s, orbits_s),
+        (ga_t, orbits_t),
         quotient,
         args.maxlen,
         _parse_budget(args.budget),
@@ -440,8 +431,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand.  Unreadable or malformed input exits 2 and an
+    equality or enumeration that does not resolve in budget exits 3, each
+    with one line on stderr.  ``ValueError`` covers JSON decoding, integer
+    parsing and every input error class of the library; it is caught first,
+    because an unknown generator is also ``cayley.OracleInsufficient``."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:
+        sys.stderr.write(f"bad input: {type(exc).__name__}: {exc}\n")
+        return EXIT_USAGE
+    except cayley.OracleInsufficient as exc:
+        sys.stderr.write(f"oracle insufficient: {exc}\n")
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

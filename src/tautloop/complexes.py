@@ -308,26 +308,9 @@ def pi1_presentation(complex_: FlagComplex, basepoint: str | None = None):
     if basepoint is None:
         basepoint = complex_.vertices[0]
     tree = spanning_tree(complex_, basepoint)
-    idx = {v: i for i, v in enumerate(complex_.vertices)}
-    chords = [e for e in complex_.graph().sorted_edges() if frozenset(e) not in tree]
-    gens = [edge_symbol(u, v) for u, v in chords]
-    chord_dir = {}
-    for u, v in chords:
-        chord_dir[(u, v)] = (edge_symbol(u, v), 1)
-        chord_dir[(v, u)] = (edge_symbol(u, v), -1)
-
-    def edge_letter(u: str, v: str):
-        if frozenset((u, v)) in tree:
-            return None
-        return chord_dir[(u, v)]
-
-    relators = []
-    for x, y, z in complex_.simplices_of_dim(2):
-        letters = [edge_letter(*e) for e in ((x, y), (y, z), (z, x))]
-        w = words.free_reduce(tuple(l for l in letters if l is not None))
-        relators.append(w)
-    pres = GroupPresentation.build(gens, relators)
-    return _eliminate_unit_relators(pres)
+    gens = [edge_symbol(*e) for e in complex_.graph().sorted_edges() if frozenset(e) not in tree]
+    relators = [loop_word(complex_, EdgeLoop(s), basepoint) for s in complex_.simplices_of_dim(2)]
+    return _eliminate_unit_relators(GroupPresentation.build(gens, relators))
 
 
 def _eliminate_unit_relators(pres):
@@ -382,6 +365,11 @@ def normally_generates(complex_: FlagComplex, omega: OmegaSet, budget=None):
     if budget is None:
         budget = word_engine.Budget()
     base = pi1_presentation(complex_)
-    extra = [loop_word(complex_, lp) for lp in omega.loops]
+    # a chord that the elimination killed is trivial in pi1: drop its letters
+    live = set(base.generators)
+    extra = [
+        words.free_reduce(tuple(x for x in loop_word(complex_, lp) if x[0] in live))
+        for lp in omega.loops
+    ]
     pres = GroupPresentation.build(list(base.generators), list(base.relators) + extra)
     return word_engine.group_is_trivial(pres, budget)

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import words
-from .cayley import bfs
+from .cayley import CosetTableOracle, bfs
 from .complexes import SimpleGraph
 from .normal_forms import TitsEngine
 from .presentations import GroupPresentation
-from .word_engine import Budget, CosetTable, todd_coxeter
+from .word_engine import Budget
 from .words import Word
 
 
@@ -39,8 +39,9 @@ def vertex_symbol(v: str) -> str:
 class GroupAction:
     """A finite group acting on a simple graph by vertex permutations.
 
-    The group must have a completed coset enumeration (it is the exact
-    oracle); ``action`` maps each core generator to a vertex permutation.
+    The group must have a completed coset enumeration, which
+    ``cayley.CosetTableOracle`` holds; ``action`` maps each core generator
+    to a vertex permutation.
     """
 
     graph: SimpleGraph
@@ -73,12 +74,6 @@ class GroupAction:
                 return dict(perm)
         raise DavisError(f"unknown generator {sym!r}")
 
-    def table(self, budget: Budget | None = None) -> CosetTable:
-        table = todd_coxeter(self.group, (), budget or Budget())
-        if not isinstance(table, CosetTable) or not table.complete:
-            raise DavisError("group oracle requires a completed enumeration")
-        return table
-
     def apply_word(self, w: Word, vertex: str) -> str:
         """Left action of the group element on a vertex; w acts last letter
         first, matching (gh).x = g.(h.x)."""
@@ -93,7 +88,7 @@ class GroupAction:
 
     def element_permutations(self, budget: Budget | None = None):
         """(representative word, vertex permutation) for every group element."""
-        table = self.table(budget)
+        table = CosetTableOracle(self.group, budget).table
         out = []
         for rep in table.element_words():
             w = self.group.decode(rep)
@@ -260,16 +255,12 @@ def compute_N1(ga: GroupAction, orbits: OrbitData) -> int:
     return max(lengths, default=0)
 
 
-def build_J(
-    ga: GroupAction, orbits: OrbitData, g_pres: GroupPresentation | None = None
-) -> GroupPresentation:
+def build_J(ga: GroupAction, orbits: OrbitData) -> GroupPresentation:
     """Presentation of W_K x| G on V' Coxeter generators and G generators.
 
     Relator families: v^2 for v in V'; squared conjugated-edge relators of
     length at most 4*N1 + 4; the relators of G.
     """
-    if g_pres is None:
-        g_pres = ga.group
     gu = orbits.gu_map()
     vset = set(orbits.vprime)
 
@@ -281,7 +272,7 @@ def build_J(
         ubar = ga.apply_word(g, u)
         return words.invert(g) + ((vertex_symbol(ubar), 1),) + tuple(words.word(g))
 
-    gens = [vertex_symbol(v) for v in orbits.vprime] + list(g_pres.generators)
+    gens = [vertex_symbol(v) for v in orbits.vprime] + list(ga.group.generators)
     relators: list[Word] = []
     for v in orbits.vprime:
         relators.append(((vertex_symbol(v), 1), (vertex_symbol(v), 1)))
@@ -296,8 +287,8 @@ def build_J(
         if len(once) * 2 > 4 * n1 + 4:
             raise DavisError("edge relator exceeds the 4*N1+4 bound")
         relators.append(once + once)
-    relators.extend(g_pres.relators)
-    return GroupPresentation.build(gens, relators, g_pres.inverse_pairs)
+    relators.extend(ga.group.relators)
+    return GroupPresentation.build(gens, relators, ga.group.inverse_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -311,13 +302,9 @@ class SemidirectEngine:
     def __init__(self, ga: GroupAction, budget: Budget | None = None) -> None:
         self.ga = ga
         self.tits = TitsEngine(ga.graph.vertices, ga.graph.edges)
-        self.table = ga.table(budget)
-        self.pres = ga.group
+        self.cosets = CosetTableOracle(ga.group, budget)
         self.identity = ((), 0)
-        self._elt_words = [self.pres.decode(r) for r in self.table.element_words()]
-
-    def coset_of(self, w: Word) -> int:
-        return self.table.trace(0, self.pres.encode(w))
+        self._elt_words = [ga.group.decode(r) for r in self.cosets.table.element_words()]
 
     def act(self, coset: int, letters: tuple[int, ...]) -> tuple[int, ...]:
         """Twist a Coxeter normal form by the group element of a coset."""
@@ -332,14 +319,13 @@ class SemidirectEngine:
         (x1, g1), (x2, g2) = a, b
         twisted = self.act(g1, x2)
         x = self.tits.normal_form(x1 + twisted)
-        g = self.table.trace(g1, self.pres.encode(self._elt_words[g2]))
-        return (x, g)
+        return (x, self.cosets.normal_form(self._elt_words[g2], g1))
 
     def gen_coxeter(self, v: str):
         return (self.tits.normal_form([self.tits.index[v]]), 0)
 
     def gen_group(self, sym: str, exp: int):
-        return ((), self.coset_of(((sym, exp),)))
+        return ((), self.cosets.normal_form(((sym, exp),)))
 
     def eval_word(self, w: Word, vprime: Sequence[str]):
         vset = set(vprime)
@@ -385,36 +371,18 @@ class SemikerReport:
         }
 
 
-class _FiniteGroupOracle:
-    """Cached completed enumeration used for identity tests in G(T)."""
-
-    def __init__(self, pres: GroupPresentation, budget: Budget | None = None) -> None:
-        table = todd_coxeter(pres, (), budget or Budget())
-        if not isinstance(table, CosetTable) or not table.complete:
-            raise DavisError("quotient group oracle requires a finite group")
-        self.pres = pres
-        self.table = table
-
-    def is_identity(self, w: Word) -> bool:
-        return self.table.trace(0, self.pres.encode(w)) == 0
-
-
 def _vertex_quotient_map(
-    ga_s: GroupAction, ga_t: GroupAction, quotient, t_oracle: _FiniteGroupOracle
+    eng_s: SemidirectEngine, eng_t: SemidirectEngine, kernel_cosets
 ) -> dict[str, str]:
     """Vertex map K(S) -> K(T) collapsing kernel orbits.
 
     K(T) reuses a subset of the K(S) vertex names, so a vertex of K(S) maps
     to the unique K(T)-named vertex in its kernel orbit.
     """
-    t_names = set(ga_t.graph.vertices)
+    t_names = set(eng_t.ga.graph.vertices)
     out: dict[str, str] = {}
-    elements = ga_s.element_permutations()
-    kernel = [
-        (w, perm) for w, perm in elements if t_oracle.is_identity(quotient.apply(w))
-    ]
-    for v in ga_s.graph.vertices:
-        orbit = {perm[v] for _, perm in kernel}
+    for v in eng_s.ga.graph.vertices:
+        orbit = {eng_s.ga.apply_word(eng_s._elt_words[i], v) for i in kernel_cosets}
         named = orbit & t_names
         if len(named) != 1:
             raise DavisError(f"kernel orbit of {v} has no unique K(T) name")
@@ -423,8 +391,8 @@ def _vertex_quotient_map(
 
 
 def semiker_experiment(
-    instance_s: tuple[GroupAction, OrbitData, GroupPresentation],
-    instance_t: tuple[GroupAction, OrbitData, GroupPresentation],
+    instance_s: tuple[GroupAction, OrbitData],
+    instance_t: tuple[GroupAction, OrbitData],
     quotient,
     max_len: int,
     budget: Budget | None = None,
@@ -432,24 +400,23 @@ def semiker_experiment(
     """Enumerate kernel elements of J(S) -> J(T) up to max_len and verify the
     transfer bound: each of length > N admits g in ker(G(S) -> G(T)) - {1}
     with l_G(g) <= l_J(w)."""
-    ga_s, orbits_s, gp_s = instance_s
-    ga_t, orbits_t, gp_t = instance_t
+    ga_s, orbits_s = instance_s
+    ga_t, _ = instance_t
     n1 = compute_N1(ga_s, orbits_s)
     n = 2 * n1
     eng_s = SemidirectEngine(ga_s, budget)
     eng_t = SemidirectEngine(ga_t, budget)
-    t_oracle = _FiniteGroupOracle(gp_t, budget)
-    vmap = _vertex_quotient_map(ga_s, ga_t, quotient, t_oracle)
 
     # kernel of G(S) -> G(T): coset ids and the shortest length per element
     g_kernel_lengths: list[int] = []
     kernel_cosets: set[int] = set()
     for i, w in enumerate(eng_s._elt_words):
-        if t_oracle.is_identity(quotient.apply(w)):
+        if eng_t.cosets.normal_form(quotient.apply(w)) == 0:
             kernel_cosets.add(i)
             if i != 0:
                 g_kernel_lengths.append(len(w))
     min_g_kernel = min(g_kernel_lengths, default=None)
+    vmap = _vertex_quotient_map(eng_s, eng_t, kernel_cosets)
 
     def project(state) -> bool:
         """True when the J(S) element dies in J(T)."""
@@ -460,7 +427,7 @@ def semiker_experiment(
         return not eng_t.tits.normal_form(mapped)
 
     moves = [(vertex_symbol(v), 1) for v in orbits_s.vprime]
-    for s in gp_s.core_generators():
+    for s in ga_s.group.core_generators():
         moves.extend([(s, 1), (s, -1)])
     start = eng_s.identity
     lengths = {start: 0}

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from .complexes import edge_symbol
 from .words import Word, word
 
 
@@ -153,7 +154,7 @@ class BBMap:
         self.letters: dict[tuple[str, int], tuple[int, int]] = {}
         for e in complex_.edges:
             for x, y in (tuple(e), tuple(e)[::-1]):
-                sym = f"e:{x}:{y}"
+                sym = edge_symbol(x, y)
                 if sym.count(":") == 2:  # otherwise the symbol names no edge
                     self.letters[sym, 1] = (index[x], -index[y])
                     self.letters[sym, -1] = (index[y], -index[x])

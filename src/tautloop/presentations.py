@@ -334,16 +334,8 @@ def truncated_presentation(
     for a, b in inverse_pairs:
         pairing[a] = b
         pairing[b] = a
-    kept: list[Word] = []
-    seen = set()
-    for w in trivial_words:
-        w = words.canonical_cyclic(words.normalize(words.word(w), pairing))
-        if not w or len(w) >= length_bound:
-            continue
-        if w in seen:
-            continue
-        seen.add(w)
-        kept.append(w)
-    # canonical forms live on the core alphabet; restrict generators to it
+    canonical = (words.canonical_cyclic(words.normalize(words.word(w), pairing)) for w in trivial_words)
+    # canonical forms live on the core alphabet; restrict generators to it.
+    # ``build`` drops empty and repeated relators by their canonical form
     core = [g for g in generators if pairing.get(g, g) >= g]
-    return GroupPresentation.build(core, kept)
+    return GroupPresentation.build(core, [w for w in canonical if len(w) < length_bound])

@@ -121,18 +121,6 @@ class Spectrum:
         return "\n".join(lines) + "\n"
 
 
-def _status_from_loops(
-    gens, inverse_pairs, loop_words, length: int, budget: Budget
-) -> LengthStatus:
-    """Decide tautness of one length from a full list of trivial loop words.
-
-    Without the loops' vertex cycles there is no shortcut filter: every loop
-    of the length goes to the engine."""
-    shorter = [w for w in loop_words if len(w) < length]
-    exact = [(w, None) for w in loop_words if len(w) == length]
-    return _length_status(gens, inverse_pairs, shorter, exact, length, budget, None)
-
-
 def _shortcut_derivation(
     pres: GroupPresentation, w: Word, cycle, shortcuts: cayley.Shortcuts
 ) -> NormalClosureDerivation | None:
@@ -203,7 +191,7 @@ def _length_status(
     claims = []
     statuses = set()
     for w, cycle in exact:
-        proof = None if shortcuts is None else _shortcut_derivation(pres, w, cycle, shortcuts)
+        proof = _shortcut_derivation(pres, w, cycle, shortcuts)
         if proof is not None:
             state = TriState(PROVED, proof)
         else:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import add
 from typing import Sequence
 
@@ -111,10 +111,6 @@ class CosetTable:
     def alive(self) -> list[int]:
         return [c for c in range(len(self.rows)) if self.parent[c] == c]
 
-    @property
-    def n_cosets(self) -> int:
-        return len(self.alive())
-
     def trace(self, start: int, codes: Sequence[int]) -> int | None:
         c = start
         for code in codes:
@@ -138,6 +134,14 @@ class CosetTable:
         for g in range(1, self.n_core + 1):
             out[g] = tuple(self.rows[c][self.col(g)] for c in range(len(self.rows)))
         return out
+
+    def quotient_witness(self, pres: GroupPresentation, w: Word) -> QuotientWitness:
+        """The regular representation of a completed table, as a permutation
+        witness for the word w."""
+        core = pres.core_generators()
+        perms = self.permutations()
+        images = tuple(sorted((core[g - 1], perms[g]) for g in perms))
+        return QuotientWitness(len(self.rows), images, tuple(w))
 
     def element_words(self) -> list[tuple[int, ...]]:
         """Shortest representative word per coset, via BFS in lex column order."""
@@ -642,6 +646,8 @@ def normal_closure_search(
 # ---------------------------------------------------------------------------
 
 MAX_QUOTIENT_DEGREE = 8
+# the highest degree that the engine and ``group_is_trivial`` search
+ENGINE_QUOTIENT_DEGREE = 4
 
 
 def _perm_inverse(p: tuple[int, ...]) -> tuple[int, ...]:
@@ -758,11 +764,9 @@ class WordProblemEngine:
         pres: GroupPresentation,
         budget: Budget | None = None,
         homs: Sequence[BBImageHom] = (),
-        max_quotient_degree: int = 4,
     ) -> None:
         self.pres = pres
         self.budget = budget or Budget()
-        self.max_quotient_degree = max_quotient_degree
         self.homs = [h for h in homs if h.check_compatible(pres)]
         self._abelian = _abelian_data(pres)
         self._table: CosetTable | BudgetExceeded | None = None
@@ -791,16 +795,11 @@ class WordProblemEngine:
                     self.budget, len(table.rows), table.content_hash(), tuple(w), 0
                 )
                 return _check_invariant(TriState(PROVED, cert))
-            core = self.pres.core_generators()
-            perms = table.permutations()
-            images = tuple(sorted((core[g - 1], perms[g]) for g in perms))
-            return _check_invariant(
-                TriState(REFUTED, QuotientWitness(len(table.rows), images, tuple(w)))
-            )
+            return _check_invariant(TriState(REFUTED, table.quotient_witness(self.pres, w)))
         derivation = normal_closure_search(self.pres, w, self.budget)
         if derivation is not None:
             return _check_invariant(TriState(PROVED, derivation))
-        witness = finite_quotient_search(self.pres, w, self.max_quotient_degree)
+        witness = finite_quotient_search(self.pres, w, ENGINE_QUOTIENT_DEGREE)
         if witness is not None:
             return _check_invariant(TriState(REFUTED, witness))
         return TriState(UNKNOWN)
@@ -811,9 +810,8 @@ def is_trivial(
     w: Word,
     budget: Budget | None = None,
     homs: Sequence[BBImageHom] = (),
-    max_quotient_degree: int = 4,
 ) -> TriState:
-    return WordProblemEngine(pres, budget, homs, max_quotient_degree).is_trivial(w)
+    return WordProblemEngine(pres, budget, homs).is_trivial(w)
 
 
 def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> TriState:
@@ -823,7 +821,7 @@ def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> T
     if isinstance(table, CosetTable) and table.complete and len(table.rows) == 1:
         cert = CosetEnumerationCertificate(budget, 1, table.content_hash(), (), 0)
         return _check_invariant(TriState(PROVED, cert))
-    witness = nontrivial_quotient_search(pres, max_degree=4)
+    witness = nontrivial_quotient_search(pres, ENGINE_QUOTIENT_DEGREE)
     if witness is None:
         # the abelianization may separate faster than a raw degree search
         for g in pres.core_generators():
@@ -836,14 +834,10 @@ def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> T
     if isinstance(table, CosetTable) and table.complete:
         # finite but not order 1: some generator acts nontrivially in the
         # regular representation, which is itself a permutation witness
-        core = pres.core_generators()
-        perms = table.permutations()
-        images = tuple(sorted((core[g - 1], perms[g]) for g in perms))
-        for g, p in images:
-            if p != tuple(range(len(table.rows))):
-                return _check_invariant(
-                    TriState(REFUTED, QuotientWitness(len(table.rows), images, ((g, 1),)))
-                )
+        regular = table.quotient_witness(pres, ())
+        for g, p in regular.images:
+            if p != tuple(range(regular.degree)):
+                return _check_invariant(TriState(REFUTED, replace(regular, word=((g, 1),))))
     return TriState(UNKNOWN)
 
 
@@ -1036,7 +1030,7 @@ def _verify_table_consistency(pres: GroupPresentation, table: CosetTable) -> boo
     return True
 
 
-def _verify_enumeration(pres: GroupPresentation, cert: CosetEnumerationCertificate, expect_coset: int | None) -> bool:
+def _verify_enumeration(pres: GroupPresentation, cert: CosetEnumerationCertificate) -> bool:
     table = todd_coxeter(pres, (), cert.budget)
     if not isinstance(table, CosetTable) or not table.complete:
         return False
@@ -1044,9 +1038,7 @@ def _verify_enumeration(pres: GroupPresentation, cert: CosetEnumerationCertifica
         return False
     if not _verify_table_consistency(pres, table):
         return False
-    if expect_coset is None:
-        return True
-    return table.trace(0, reduce_ints(pres.encode(cert.word))) == expect_coset
+    return table.trace(0, reduce_ints(pres.encode(cert.word))) == cert.coset
 
 
 def verify_certificate(pres: GroupPresentation, state: TriState) -> bool:
@@ -1073,7 +1065,7 @@ def _replay(pres: GroupPresentation, state: TriState, cert) -> bool:
     if isinstance(cert, NormalClosureDerivation):
         return state.proved and _verify_derivation(pres, cert)
     if isinstance(cert, CosetEnumerationCertificate):
-        return state.proved and _verify_enumeration(pres, cert, cert.coset)
+        return state.proved and _verify_enumeration(pres, cert)
     if isinstance(cert, HomImageWitness):
         return state.refuted and _replay_hom_witness(pres, cert)
     return False

@@ -11,7 +11,7 @@ import time
 from conftest import record_criterion
 from dehn_tools import RELATOR, SYMBOLS, SmallCancellationOracle, piece_lengths
 
-from tautloop.cayley import BBOracle, FreeGroupOracle, build_ball, closed_loops
+from tautloop.cayley import BBOracle, FreeGroupOracle, Shortcuts, build_ball, closed_loops
 from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion
 from tautloop.davis import GroupAction, check_action, choose_orbits, semiker_experiment
 from tautloop.normal_forms import RaagEngine, TitsEngine, bb_image
@@ -35,7 +35,7 @@ from tautloop.spectrum import (
     NOT_TAUT,
     TAUT,
     LengthSet,
-    _status_from_loops,
+    _statuses,
     k_related,
     spectrum_of_graph,
     taut_status,
@@ -214,10 +214,14 @@ def test_criterion_04_small_cancellation_spectrum():
         if not loops.conclusive:
             return False, "radius-5 ball does not certify loops up to 9"
         budget = Budget(max_cosets=400, max_deductions=40_000, max_search_depth=2)
-        statuses = [
-            _status_from_loops(list(SYMBOLS), (), loops.words, l, budget)
-            for l in range(3, 10)
-        ]
+        statuses = _statuses(
+            list(SYMBOLS),
+            (),
+            list(zip(loops.words, loops.vertex_cycles)),
+            range(3, 10),
+            budget,
+            Shortcuts(ball.neighbor_map(), 9),
+        )
         taut = [s.length for s in statuses if s.status == TAUT]
         unknowns = [s.length for s in statuses if s.status == "unknown"]
         _register_claims(statuses)
@@ -382,8 +386,8 @@ def test_criterion_10_kernel_transfer():
             return False, "an action fails validation"
         quotient = Homomorphism.identity_on_generators(z6, z3)
         report = semiker_experiment(
-            (ga_s, choose_orbits(ga_s), z6),
-            (ga_t, choose_orbits(ga_t), z3),
+            (ga_s, choose_orbits(ga_s)),
+            (ga_t, choose_orbits(ga_t)),
             quotient,
             6,
         )

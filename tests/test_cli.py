@@ -404,3 +404,73 @@ def test_ball_with_unknown_generator_is_a_usage_error_for_every_oracle(files, ca
     assert code == 2
     assert captured.out == ""
     assert "'zz'" in captured.err and captured.err.count("\n") == 1
+
+
+def exit_code(argv):
+    """The exit code of a command, whether returned or raised."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def test_analyze_omega_on_chords_killed_by_triangles(files, capsys):
+    pentagon = files["dump"]("pentagon.json", {
+        "vertices": ["0", "1", "2", "3", "4"],
+        "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"], ["4", "0"], ["0", "2"]],
+    })
+    for omega, code, status in (([["0", "1", "2", "3", "4"]], 0, "proved"), ([], 1, "refuted")):
+        path = files["dump"]("omega.json", omega)
+        got, out = run(["complex", "analyze", "--complex", pentagon, "--omega", path], capsys)
+        assert got == code and json.loads(out)["normally_generates"]["status"] == status
+
+
+def _rotation_instance(files, relators, action=None):
+    """An instance of <g | relators> acting on the 4-cycle, by rotation unless
+    another action is given."""
+    action = action or {"g": {"0": "1", "1": "2", "2": "3", "3": "0"}}
+    return files["dump"]("instance.json", {"action": {
+        "graph": {"vertices": ["0", "1", "2", "3"], "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "0"]]},
+        "group": {"generators": ["g"], "relators": relators},
+        "action": action,
+    }})
+
+
+def _not_json(files):
+    path = files["dir"] / "not.json"
+    path.write_text("{not json")
+    return str(path)
+
+
+def _collapsing_instance(files):
+    return _rotation_instance(files, [[["g", 1]] * 4], {"g": {"0": "0", "1": "0", "2": "0", "3": "0"}})
+
+
+# case -> (argv from the files fixture, exit code)
+BAD_INPUT = {
+    "racg-without-complex": (lambda f: ["ball", "--oracle", "racg", "--radius", "2"], 2),
+    "missing-coset-file": (lambda f: ["ball", "--oracle", "coset:/nonexistent.json", "--radius", "2"], 2),
+    "krelated-not-an-integer": (lambda f: ["krelated", "--h1", "1,x", "--h2", "1", "--k", "1"], 2),
+    "kernel-search-not-an-integer": (
+        lambda f: ["kernel-search", "--complex", f["c4"], "--omega", f["boundary"],
+                   "--s", "a", "--t", "0", "--radius", "2"], 2),
+    "present-missing-complex": (
+        lambda f: ["present", "p", "--complex", str(f["dir"] / "missing.json"), "--omega", f["boundary"]], 2),
+    "not-json": (lambda f: ["spectrum", "--graph", _not_json(f), "--horizon", "4"], 2),
+    "spectrum-without-input": (lambda f: ["spectrum", "--horizon", "4"], 2),
+    "semiker-malformed-action": (
+        lambda f: ["semiker", "--instance-s", _collapsing_instance(f), "--instance-t", _collapsing_instance(f)], 2),
+    # <g> with no relators is infinite, so its enumeration cannot complete
+    "semiker-infinite-group": (
+        lambda f: ["semiker", "--instance-s", _rotation_instance(f, []), "--instance-t", _rotation_instance(f, [])], 3),
+    "present-j-infinite-group": (lambda f: ["present", "j", "--instance", _rotation_instance(f, [])], 3),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUT))
+def test_bad_input_exits_with_one_line(files, capsys, case):
+    argv, code = BAD_INPUT[case]
+    assert exit_code(argv(files)) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1

@@ -156,6 +156,26 @@ def test_normally_generates_doubled_boundary_refuted():
     assert state.refuted
 
 
+PENTAGON_WITH_CHORD = flag_completion(
+    SimpleGraph.build("01234", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0"), ("0", "2")])
+)
+
+
+@pytest.mark.parametrize(
+    "complex_, loops, status",
+    [
+        # pi1 is free on the chord 3-4; the triangle kills the chord 1-2
+        (PENTAGON_WITH_CHORD, [("0", "1", "2", "3", "4")], "proved"),
+        (PENTAGON_WITH_CHORD, [], "refuted"),
+        (flag_completion(complete_graph(4)), [("0", "1", "2")], "proved"),
+    ],
+    ids=["pentagon-chord", "pentagon-chord-empty", "K4-triangle"],
+)
+def test_normally_generates_with_chords_killed_by_triangles(complex_, loops, status):
+    omega = OmegaSet(tuple(EdgeLoop(lp) for lp in loops))
+    assert normally_generates(complex_, omega).status == status
+
+
 def test_json_round_trips():
     assert FlagComplex.from_json(C4.to_json()) == C4
     omega = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))

@@ -17,6 +17,7 @@ from tautloop.davis import (
     vertex_symbol,
 )
 from tautloop.presentations import GroupPresentation, Homomorphism
+from tautloop.word_engine import CosetTable
 
 
 def cycle_graph(n):
@@ -159,7 +160,7 @@ def test_semidirect_engine_coxeter_generators_are_involutions():
 
 def test_semiker_identity_quotient_is_vacuous():
     orbits = choose_orbits(C12_Z3)
-    instance = (C12_Z3, orbits, C12_Z3.group)
+    instance = (C12_Z3, orbits)
     hom = Homomorphism.identity_on_generators(C12_Z3.group, C12_Z3.group)
     report = semiker_experiment(instance, instance, hom, 3)
     assert report.passed and report.kernel_words_checked == 0
@@ -171,13 +172,13 @@ def test_semiker_full_collapse_passes_with_witnesses():
     # acted on trivially, and every kernel element of the product must be
     # matched by the rotation of length 1
     orbits_s = choose_orbits(C12_Z3)
-    instance_s = (C12_Z3, orbits_s, C12_Z3.group)
+    instance_s = (C12_Z3, orbits_s)
     z1 = zn_pres(1, "t")
     ga_t = GroupAction.build(
         cycle_graph(4), z1, {"t": {str(i): str(i) for i in range(4)}}
     )
     orbits_t = choose_orbits(ga_t)
-    instance_t = (ga_t, orbits_t, z1)
+    instance_t = (ga_t, orbits_t)
     hom = Homomorphism.build(C12_Z3.group, z1, {"g": ()})
     report = semiker_experiment(instance_s, instance_t, hom, 4)
     assert report.passed
@@ -185,6 +186,23 @@ def test_semiker_full_collapse_passes_with_witnesses():
     assert report.samples and all(s["ok"] for s in report.samples)
     data = report.to_json()
     assert data["passed"] and data["N"] == 2
+
+
+def test_semiker_enumerates_each_group_once(monkeypatch):
+    z6, z3 = zn_pres(6), zn_pres(3)
+    ga_s = GroupAction.build(cycle_graph(24), z6, rotation(24, 4))
+    ga_t = GroupAction.build(cycle_graph(12), z3, rotation(12, 4))
+    instances = (ga_s, choose_orbits(ga_s)), (ga_t, choose_orbits(ga_t))
+    built = []
+    original = CosetTable.__init__
+
+    def counted(self, n_core):
+        built.append(n_core)
+        original(self, n_core)
+
+    monkeypatch.setattr(CosetTable, "__init__", counted)
+    report = semiker_experiment(*instances, Homomorphism.identity_on_generators(z6, z3), 6)
+    assert report.passed and len(built) == 2
 
 
 def test_instance_json_round_trip():

@@ -1,9 +1,18 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautloop.cayley import FreeGroupOracle, RaagOracle, RacgOracle, ZModOracle, closed_walks
-from tautloop.complexes import SimpleGraph, flag_completion
+from tautloop.cayley import (
+    BBOracle,
+    FreeGroupOracle,
+    RaagOracle,
+    RacgOracle,
+    ZModOracle,
+    closed_walks,
+)
+from tautloop.complexes import SimpleGraph, edge_symbol, flag_completion, pi1_presentation
 from tautloop.presentations import GroupPresentation
 from tautloop.spectrum import (
     NOT_RELATED,
@@ -247,6 +256,59 @@ def test_racg_c5_spectrum_to_eight_asks_the_engine_once(engine_words):
     assert_statuses(sp, {4: (TAUT, 1), 6: (NOT_TAUT, 15), 8: (NOT_TAUT, 150)}, engine_words)
     # only the first square, which is taut, needs the engine
     assert engine_words == [sp.status_of(4).claims[0].word]
+
+
+P4 = graph("0123", [("0", "1"), ("1", "2"), ("2", "3")])
+# poles 0 and 1 joined by paths of lengths 2, 3 and 2
+THETA = graph("012345", [("0", "2"), ("2", "1"), ("0", "3"), ("3", "4"), ("4", "1"), ("0", "5"), ("5", "1")])
+OCTAHEDRON = graph("012345", [(a, b) for a in "012345" for b in "012345" if a < b and int(b) - int(a) != 3])
+PENTAGON_WITH_CHORD = graph("01234", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0"), ("0", "2")])
+C4_EDGE_GENS = [edge_symbol(u, v) for u, v in cycle_graph(4).sorted_edges()]
+
+
+# SHA-256 of Spectrum.dumps() and of pi1_presentation(...).dumps(), computed
+# while the per-length rule still took bare loop words and pi1_presentation
+# still rewrote its triangles itself
+@pytest.mark.parametrize("text, sha", [
+    (lambda: spectrum_of_graph(generalized_petersen(5, 2), 10).dumps(),
+     "e1cda1b6bca2b2f82b8b48c746fe4affba90035c087c5440d51b87786e326f3d"),
+    (lambda: spectrum_of_graph(HEAWOOD, 10).dumps(),
+     "c0c1e04f29c5f2542d9c1d94a98afc4a8fc69e3c59020b00cad1dc6ad5c165d6"),
+    (lambda: spectrum_of_graph(generalized_petersen(8, 3), 10).dumps(),
+     "bf00346465cacde255cb1676d0def40ca234be7993e88035d828f38e7485105c"),
+    (lambda: spectrum_of_graph(CUBE, 10).dumps(),
+     "3b2f59098e500fa2c98273a631ccc1c2a103693a185cedc2afccf814da3c4152"),
+    (lambda: spectrum_of_graph(complete_graph(4), 8).dumps(),
+     "aee02a4d42057fff3ea1ade742bc909bee0e0619b3db997b07e537076ef1fdaa"),
+    (lambda: spectrum_of_graph(K33, 8).dumps(),
+     "5e37d1b4417ba2e7beb058bb62aab12075ffe68d895c434ea282007fcf14caad"),
+    (lambda: spectrum_of_graph(THETA, 8).dumps(),
+     "acf4852f2a5127c8b75f830287c82f8ae7aa2373757cf27cc36d916b0e3e993c"),
+    (lambda: spectrum(RacgOracle(cycle_graph(4)), list("0123"), 7).dumps(),
+     "7f60e382798f4a537f4802f13e8a2946c74632bac67dbfebcd48c72ca4b4a84a"),
+    (lambda: spectrum(RacgOracle(cycle_graph(5)), list("01234"), 7).dumps(),
+     "557cbc2b4f6a4d13f48ff95ec6d3c76052b321f32b6fc272c156421b612ce2e3"),
+    (lambda: spectrum(RacgOracle(P4), list("0123"), 7).dumps(),
+     "fb3bfb7b38ba9a8e2df513653dbfaf6f0a4f5d0ed1cb46232336dca2fb6f4501"),
+    (lambda: spectrum(RaagOracle(flag_completion(cycle_graph(4))), list("0123"), 6).dumps(),
+     "f9bdcba31c6a441192753ab8466a89cae73def23502e7dfe235267e877becaad"),
+    (lambda: spectrum(BBOracle(flag_completion(cycle_graph(4))), C4_EDGE_GENS, 6).dumps(),
+     "6b69fbb6ca9632b9e15a7745525123588127694a5349fd139053ed62f814a77c"),
+    (lambda: pi1_presentation(flag_completion(cycle_graph(4))).dumps(),
+     "bf50521d3a8f383c8923df3abd099b69397e226c44a301de1ed6649ee5537730"),
+    (lambda: pi1_presentation(flag_completion(K33)).dumps(),
+     "a17bb5958100f0460d361b6dc54ae75cc4b8025688d1804c46feb82cd2d65eb7"),
+    (lambda: pi1_presentation(flag_completion(OCTAHEDRON)).dumps(),
+     "f8f38b7020934ca724bd24b5eb7df9130134a6572d2ffaec26f9d3f213d1cc8d"),
+    (lambda: pi1_presentation(flag_completion(PENTAGON_WITH_CHORD)).dumps(),
+     "0abd6e6c397d3b4a9918276a6ff19cd37e7c7ca7e2fd4b0e418d1ce8246312c0"),
+], ids=[
+    "petersen-10", "heawood-10", "mobius-kantor-10", "cube-10", "K4-8", "K33-8", "theta-8",
+    "racg-c4-7", "racg-c5-7", "racg-p4-7", "raag-c4-6", "bb-c4-6",
+    "pi1-c4", "pi1-K33", "pi1-octahedron", "pi1-pentagon-chord",
+])
+def test_frozen_spectrum_bytes(text, sha):
+    assert hashlib.sha256(text().encode()).hexdigest() == sha
 
 
 def test_raag_c4_spectrum_to_eight(engine_words):
