@@ -246,19 +246,6 @@ class LoopEnumeration:
     vertex_cycles: tuple[tuple[int, ...], ...]
     conclusive: bool
 
-    def __iter__(self):
-        return iter(self.words)
-
-
-def _cycle_key(cycle: tuple) -> tuple:
-    best = None
-    for seq in (cycle, tuple(reversed(cycle))):
-        for i in range(len(seq)):
-            rot = seq[i:] + seq[:i]
-            if best is None or rot < best:
-                best = rot
-    return best
-
 
 def bfs(nbrs, root, depth: int | None = None) -> dict:
     """Breadth-first search of a graph given by its neighbour map, to the
@@ -291,41 +278,49 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
     the order of ``nbrs``.  Backtracking walks freely reduce to strictly
     shorter ones, so omitting them loses nothing downstream: their cyclic
     reductions are enumerated.
+
+    One depth-first search per base files the closed walks of every length
+    by length.  No walk visits an earlier base, so a class is found only from
+    its earliest base and is keyed by its least rotation from that base, read
+    either way; the first walk of each class in search order is kept.
     """
-    bases = tuple(bases)
-    # a walk with d steps left must be within distance d of its base
-    reach = {base: bfs(nbrs, base, max_len // 2) for base in bases}
+    bases = tuple(dict.fromkeys(bases))
     rank = {base: i for i, base in enumerate(bases)}
+    by_length: list[list] = [[] for _ in range(max_len + 1)]
     seen: set[tuple] = set()
-    out: list[tuple[tuple, Word]] = []
-    for length in range(3, max_len + 1):
-        for k, base in enumerate(bases):
-            dist = reach[base]
+    for k, base in enumerate(bases):
+        dist = {v: hit[0] for v, hit in bfs(nbrs, base, max_len // 2).items()}
+        # each step's neighbours, with the most steps a walk can have taken
+        # on reaching them: it must still get back to the base in time
+        near = {
+            u: [(v, w, max_len - dist[v]) for v, w in nbrs[u] if v in dist and rank.get(v, k) >= k]
+            for u in dist
+        }
+        path, letters = [base], []
 
-            def extend(path: tuple, w: Word) -> None:
-                steps_left = length - (len(path) - 1)
-                here = path[-1]
-                if steps_left == 0:
-                    if here == base and path[1] != path[-2]:
-                        key = _cycle_key(path[:-1])
-                        if key not in seen:
-                            seen.add(key)
-                            out.append((path[:-1], w))
-                    return
-                hit = dist.get(here)
-                if hit is None or hit[0] > steps_left:
-                    return
-                for nxt, letter in nbrs[here]:
-                    if len(path) > 1 and nxt == path[-2]:
-                        continue
-                    # a class is emitted first from its earliest base, so a
-                    # walk through an earlier base would only be dropped here
-                    if rank.get(nxt, k) < k:
-                        continue
-                    extend(path + (nxt,), w + letter)
+        def extend(here) -> None:
+            steps = len(path)  # after the next step
+            back = path[-2] if steps > 1 else None
+            for nxt, letter, latest in near[here]:
+                if nxt == back or steps > latest:
+                    continue
+                path.append(nxt)
+                letters.append(letter)
+                if nxt == base and steps >= 3 and path[1] != here:
+                    cycle = tuple(path[:-1])
+                    turns = (cycle[i:] + cycle[:i] for i, v in enumerate(cycle) if v == base)
+                    key = min(min(t, (base, *t[:0:-1])) for t in turns)
+                    if key not in seen:
+                        seen.add(key)
+                        by_length[steps].append((cycle, tuple(x for word in letters for x in word)))
+                if steps < max_len:
+                    extend(nxt)
+                path.pop()
+                letters.pop()
 
-            extend((base,), ())
-    return out
+        extend(base)
+        del extend  # it refers to itself; without this its tables wait for the collector
+    return [walk for walks in by_length for walk in walks]
 
 
 def closed_loops(ball: CayleyBall, max_len: int, base: int = 0) -> LoopEnumeration:
@@ -360,20 +355,20 @@ class Shortcuts:
     ``(neighbour, word)`` pairs, the word being read along the edge.  The
     breadth-first search from each vertex is kept, to the depth that a
     shortcut of a walk of length at most ``max_len`` can use, so walks that
-    share vertices share searches.
+    share vertices share searches; so is each vertex's neighbour-word table.
     """
 
     def __init__(self, nbrs, max_len: int):
         self.nbrs = nbrs
         self.depth = max_len // 2 - 1
         self._searches: dict = {}
+        self._words: dict = {}
 
     def letters(self, cycle) -> list[Word]:
         """The word of each edge of a closed walk, in order."""
-        n = len(cycle)
         return [
-            next(word for v, word in self.nbrs[cycle[i]] if v == cycle[(i + 1) % n])
-            for i in range(n)
+            (self._words.get(u) or self._words.setdefault(u, dict(self.nbrs[u])))[v]
+            for u, v in zip(cycle, cycle[1:] + cycle[:1])
         ]
 
     def _search(self, root) -> dict:

@@ -46,9 +46,14 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _load_json(path: str):
+def _load_json(path: str, parse=lambda data: data):
+    """A JSON file as ``parse`` reads it; a missing key or a wrong shape is a ``ValueError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    try:
+        return parse(data)
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
 def _emit(data, out=None) -> None:
@@ -90,11 +95,11 @@ def _parse_ints(text: str) -> list[int]:
 
 
 def _load_complex(path: str) -> FlagComplex:
-    return FlagComplex.from_json(_load_json(path))
+    return _load_json(path, FlagComplex.from_json)
 
 
 def _load_omega(path: str) -> OmegaSet:
-    return OmegaSet.from_json(_load_json(path))
+    return _load_json(path, OmegaSet.from_json)
 
 
 def _make_oracle(spec: str, args):
@@ -118,7 +123,7 @@ def _make_oracle(spec: str, args):
         gens = [edge_symbol(u, v) for u, v in cx.graph().sorted_edges()]
         return cayley.BBOracle(cx), gens
     if kind == "coset":
-        pres = GroupPresentation.from_json(_load_json(arg))
+        pres = _load_json(arg, GroupPresentation.from_json)
         return cayley.CosetTableOracle(pres), list(pres.core_generators())
     _usage_error(f"unknown oracle {spec!r}")
 
@@ -208,7 +213,7 @@ def cmd_spectrum(args) -> int:
     if not (args.graph or args.oracle):
         _usage_error("spectrum needs --graph or --oracle")
     if args.graph:
-        graph = SimpleGraph.build(**_load_json(args.graph))
+        graph = _load_json(args.graph, lambda data: SimpleGraph.build(**data))
         sp = spectrum_of_graph(graph, args.horizon, budget)
     else:
         oracle, gens = _make_oracle(args.oracle, args)

@@ -484,14 +484,16 @@ def instance_to_json(ga: GroupAction, orbits: OrbitData) -> dict:
 
 
 def instance_from_json(data: dict) -> tuple[GroupAction, OrbitData]:
-    ga = GroupAction.from_json(data["action"])
-    if "orbits" in data:
-        o = data["orbits"]
-        orbits = OrbitData(
+    """An instance from its JSON form, orbits chosen after reading when it has
+    none.  A missing key or a value of the wrong shape raises ``DavisError``."""
+    try:
+        ga = GroupAction.from_json(data["action"])
+        o = data.get("orbits")
+        orbits = None if o is None else OrbitData(
             tuple(o["vprime"]),
             tuple(tuple(e) for e in o["eprime"]),
             tuple(sorted((u, words.from_json(w)) for u, w in o["gu"].items())),
         )
-    else:
-        orbits = choose_orbits(ga)
-    return ga, orbits
+    except (LookupError, TypeError, AttributeError) as exc:
+        raise DavisError(f"malformed instance: {type(exc).__name__}: {exc}") from None
+    return ga, choose_orbits(ga) if orbits is None else orbits

@@ -5,9 +5,10 @@ shorter loop has been filled in.  That is decided at the group level: collect
 the trivial words shorter than l, present the quotient they normally
 generate, and settle each length-l loop in it.  Both a Cayley-graph entry
 point (driven by an equality oracle) and a finite-graph entry point are
-provided.  Both enumerate their loops with ``cayley.closed_walks`` over a
-neighbour map, which also serves the shortcut filter, and both use one
-per-length rule.
+provided.  Both enumerate their loops with ``cayley.closed_walks``, one
+depth-first search per base that files the closed walks of every length at
+once, over a neighbour map that also serves the shortcut filter; both use
+one per-length rule.
 
 Most loops are settled without the word-problem engine, by the splitting
 argument behind Bowditch's taut loops.  If two vertices of a length-l loop

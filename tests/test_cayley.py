@@ -23,6 +23,8 @@ from tautloop.complexes import SimpleGraph, flag_completion
 from tautloop.presentations import GroupPresentation, build_RACG
 from tautloop.words import word
 
+import per_length_closed_walks
+
 
 def graph(vs, edges):
     return SimpleGraph.build(vs, edges)
@@ -299,3 +301,71 @@ def test_frozen_ball_bytes(oracle, gens, radius, json_sha, dot_sha):
     ball = build_ball(oracle(), gens, radius)
     assert _digest(ball.dumps()) == json_sha
     assert _digest(ball.to_dot()) == dot_sha
+
+
+# ---------------------------------------------------------------------------
+# closed_walks against the per-length reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _connected_nbrs(draw):
+    """A random connected graph on at most 8 vertices as a neighbour map,
+    each neighbour list in a drawn order.  Each edge reads a letter one way
+    and its inverse the other, or, as a spanning-tree edge of a finite graph
+    does, the empty word."""
+    n = draw(st.integers(1, 8))
+    edges = {frozenset((i, draw(st.integers(0, i - 1)))) for i in range(1, n)}
+    pairs = list(itertools.combinations(range(n), 2))
+    if pairs:
+        edges |= {frozenset(p) for p in draw(st.lists(st.sampled_from(pairs), max_size=5))}
+    nbrs = {v: [] for v in range(n)}
+    for u, v in sorted(sorted(e) for e in edges):
+        letter = draw(st.sampled_from(((), ((f"x{u}_{v}", 1),))))
+        nbrs[u].append((v, letter))
+        nbrs[v].append((u, tuple((s, -e) for s, e in reversed(letter))))
+    return {v: draw(st.permutations(pairs_)) for v, pairs_ in nbrs.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(nbrs=_connected_nbrs(), max_len=st.integers(0, 8), data=st.data())
+def test_closed_walks_equal_the_per_length_reference(nbrs, max_len, data):
+    every = data.draw(st.permutations(sorted(nbrs)))
+    one = (data.draw(st.sampled_from(sorted(nbrs))),)
+    for bases in (every, one):
+        assert closed_walks(nbrs, max_len, bases) == per_length_closed_walks.closed_walks(
+            nbrs, max_len, bases
+        )
+
+
+BOW_TIE = graph("01234", [("0", "1"), ("1", "2"), ("2", "0"), ("0", "3"), ("3", "4"), ("4", "0")])
+
+
+def test_closed_walks_through_the_base_twice():
+    """Two triangles sharing the base: at length 6, each triangle walked
+    twice and the two figure eights, which pass through the base twice."""
+    found = closed_walks(_graph_nbrs(BOW_TIE), 6, ("0",))
+    assert [c for c, _ in found] == [
+        ("0", "1", "2"),
+        ("0", "3", "4"),
+        ("0", "1", "2", "0", "1", "2"),
+        ("0", "1", "2", "0", "3", "4"),
+        ("0", "1", "2", "0", "4", "3"),
+        ("0", "3", "4", "0", "3", "4"),
+    ]
+    for length in range(3, 7):
+        assert sum(len(c) == length for c, _ in found) == _brute_force_closed_walks(BOW_TIE, length)
+
+
+@pytest.mark.parametrize("nbrs, max_len, bases", [
+    (lambda: _graph_nbrs(BOW_TIE), 8, ("0",)),
+    (lambda: _graph_nbrs(BOW_TIE), 8, ("3", "0", "1", "4", "2")),
+    (lambda: build_ball(RacgOracle(C5), list(C5.vertices), 5).neighbor_map(), 7, (0,)),
+    (lambda: build_ball(RacgOracle(C5), list(C5.vertices), 5).neighbor_map(), 7, range(6)),
+    (lambda: build_ball(BBOracle(flag_completion(C4)), _edge_gens(C4), 4).neighbor_map(), 6, (0,)),
+    (lambda: build_ball(BBOracle(flag_completion(C4)), _edge_gens(C4), 4).neighbor_map(), 6, range(6)),
+], ids=["bow-tie", "bow-tie-every-base", "racg-c5", "racg-c5-six-bases", "bb-c4", "bb-c4-six-bases"])
+def test_closed_walks_of_fixed_maps_equal_the_per_length_reference(nbrs, max_len, bases):
+    nbrs = nbrs()
+    want = per_length_closed_walks.closed_walks(nbrs, max_len, bases)
+    assert want and closed_walks(nbrs, max_len, bases) == want

@@ -464,6 +464,13 @@ BAD_INPUT = {
     "semiker-infinite-group": (
         lambda f: ["semiker", "--instance-s", _rotation_instance(f, []), "--instance-t", _rotation_instance(f, [])], 3),
     "present-j-infinite-group": (lambda f: ["present", "j", "--instance", _rotation_instance(f, [])], 3),
+    # JSON of the wrong shape: a graph without edges, an instance without an action
+    "spectrum-graph-without-edges": (
+        lambda f: ["spectrum", "--graph", f["dump"]("g.json", {"vertices": ["0", "1"]}), "--horizon", "4"], 2),
+    "analyze-complex-without-edges": (
+        lambda f: ["complex", "analyze", "--complex", f["dump"]("g.json", {"vertices": ["0", "1"]})], 2),
+    "present-j-without-action": (
+        lambda f: ["present", "j", "--instance", f["dump"]("i.json", {"group": {}})], 2),
 }
 
 
