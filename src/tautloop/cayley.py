@@ -158,11 +158,10 @@ class CayleyBall:
         and kept on the ball, so callers must not change it."""
         if self._nbrs is None:
             out: dict[int, list[tuple[int, Word]]] = {v.vid: [] for v in self.vertices}
+            # the edges come sorted, so each list is: smaller neighbours first
             for u, v, letter in self.edge_letters:
                 out[u].append((v, letter))
                 out[v].append((u, words.invert(letter)))
-            for lst in out.values():
-                lst.sort(key=lambda t: t[0])
             object.__setattr__(self, "_nbrs", out)
         return self._nbrs
 
@@ -192,11 +191,13 @@ class CayleyBall:
         return "\n".join(lines) + "\n"
 
 
-def build_ball(oracle, gens, radius: int) -> CayleyBall:
+def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
     """Breadth-first ball of the given radius around the identity.
 
     ``gens`` is a list of generator symbols; both exponents are applied, so
     the move set is closed under formal inversion automatically.
+    ``_rim=False`` leaves out the edges among the vertices at distance
+    ``radius``, the ball's rim, and so spares the last pass.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -204,31 +205,33 @@ def build_ball(oracle, gens, radius: int) -> CayleyBall:
     keys = [oracle.normal_form(())]  # vertex id -> key
     key_to_id = {keys[0]: 0}
     verts = [BallVertex(0, (), 0)]
-    letters: dict[frozenset[int], Word] = {}  # edge -> letter read from its smaller end
+    letters: dict[tuple[int, int], Word] = {}  # (u, v), u < v -> letter read from u to v
     frontier = [0]
-    # the last pass only adds the edges among frontier vertices
-    for dist in range(1, radius + 2):
+    # the last pass, if any, only adds the edges among frontier vertices
+    for dist in range(1, radius + 1 + _rim):
         nxt = []
         for vid in frontier:
-            start = keys[vid]
+            start, word = keys[vid], verts[vid].word
             for mv in moves:
                 key = oracle.normal_form(mv, start)
-                if key not in key_to_id and dist <= radius:
-                    key_to_id[key] = len(verts)
-                    nxt.append(len(verts))
-                    keys.append(key)
-                    verts.append(BallVertex(len(verts), words.free_reduce(verts[vid].word + mv), dist))
                 other = key_to_id.get(key)
-                if other is not None and other != vid:
-                    e = frozenset((vid, other))
-                    if e not in letters:
-                        letters[e] = mv if vid < other else words.invert(mv)
+                if other is None:
+                    if dist > radius:
+                        continue
+                    # word + mv is reduced, or the element would be in the ball at dist - 2
+                    other = key_to_id[key] = len(verts)
+                    nxt.append(other)
+                    keys.append(key)
+                    verts.append(BallVertex(other, word + mv, dist))
+                # ids follow the order of extension, so an edge is met first
+                # from its smaller end
+                if vid < other:
+                    letters.setdefault((vid, other), mv)
         frontier = nxt
-    edge_letters = tuple(
-        (min(e), max(e), letters[e]) for e in sorted(letters, key=lambda e: sorted(e))
-    )
+    edges = sorted(letters)
+    edge_letters = tuple((u, v, letters[u, v]) for u, v in edges)
     tag = getattr(oracle, "tag", type(oracle).__name__)
-    return CayleyBall(0, tuple(verts), frozenset(letters), radius, tag, edge_letters)
+    return CayleyBall(0, tuple(verts), frozenset(map(frozenset, edges)), radius, tag, edge_letters)
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ import argparse
 import json
 import sys
 
-from . import cayley, davis, schedule as sched_mod, words
+from . import cayley, words
 from .spectrum import (
+    TAUT,
     LengthSet,
     Spectrum,
     k_related,
+    status_from_verdicts,
     spectrum_of_graph,
     spectrum as compute_spectrum,
 )
@@ -169,6 +171,7 @@ def cmd_present(args) -> int:
     elif args.kind == "racg":
         pres = build_RACG(_load_complex(args.complex).graph())
     else:
+        from . import davis
         ga, orbits = davis.instance_from_json(_load_json(args.instance))
         pres = davis.build_J(ga, orbits)
     if args.format == "gap":
@@ -235,6 +238,7 @@ def cmd_krelated(args) -> int:
 
 
 def cmd_schedule(args) -> int:
+    from . import schedule as sched_mod
     if args.complex and args.omega:
         cx = _load_complex(args.complex)
         omega = _load_omega(args.omega)
@@ -257,6 +261,7 @@ def cmd_schedule(args) -> int:
 
 
 def cmd_kernel_search(args) -> int:
+    from . import schedule as sched_mod
     if _reject_negative("radius", args.radius):
         return EXIT_USAGE
     cx = _load_complex(args.complex)
@@ -289,6 +294,7 @@ def cmd_kernel_search(args) -> int:
 
 
 def cmd_semiker(args) -> int:
+    from . import davis
     ga_s, orbits_s = davis.instance_from_json(_load_json(args.instance_s))
     ga_t, orbits_t = davis.instance_from_json(_load_json(args.instance_t))
     quotient = Homomorphism.identity_on_generators(ga_s.group, ga_t.group)
@@ -303,29 +309,37 @@ def cmd_semiker(args) -> int:
     return EXIT_OK if report.passed else EXIT_REFUTED
 
 
-def _report_claims(data) -> list:
-    """Claims of a spectrum report, of {"claims": [...]}, or of a bare list."""
-    if isinstance(data, list):
-        return data
-    if "statuses" in data:
-        return [claim for status in data["statuses"] for claim in status["claims"]]
-    return data["claims"]
-
-
 def cmd_verify_cert(args) -> int:
     failures = 0
     checked = 0
     try:
-        for claim in _report_claims(_load_json(args.report)):
-            w = words.from_json(claim["word"])
-            pres = GroupPresentation.from_json(claim["presentation"])
-            verdict = TriState.from_json(claim["verdict"])
-            checked += 1
-            cert = verdict.certificate
-            # a certificate proves something only about the word it carries
-            if (cert is not None and cert.word != w) or not verify_certificate(pres, verdict):
+        data = _load_json(args.report)
+        # a spectrum report files its claims by length, each under a status
+        if "statuses" in data:
+            lengths = [(status["claims"], status) for status in data["statuses"]]
+        else:
+            lengths = [(data if isinstance(data, list) else data["claims"], None)]
+        for claims, status in lengths:
+            verdicts = []
+            for claim in claims:
+                w = words.from_json(claim["word"])
+                pres = GroupPresentation.from_json(claim["presentation"])
+                verdict = TriState.from_json(claim["verdict"])
+                checked += 1
+                verdicts.append(verdict.status)
+                cert = verdict.certificate
+                # a certificate proves something only about the word it carries
+                if (cert is not None and cert.word != w) or not verify_certificate(pres, verdict):
+                    failures += 1
+                    sys.stderr.write(f"certificate failed for word {claim['word']}\n")
+            # a length's status must be the one its claims give under the per-length rule
+            if status and status["status"] != status_from_verdicts(verdicts, status["vacuous"]):
                 failures += 1
-                sys.stderr.write(f"certificate failed for word {claim['word']}\n")
+                sys.stderr.write(f"status of length {status.get('length')} contradicts its claims\n")
+        taut = [s["length"] for _, s in lengths if s is not None and s["status"] == TAUT]
+        if isinstance(data, dict) and data.get("taut_lengths", taut) != taut:
+            failures += 1
+            sys.stderr.write("taut_lengths disagrees with the statuses\n")
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         sys.stderr.write(f"malformed report {args.report}: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE

@@ -20,7 +20,11 @@ certificate is a normal-closure derivation of two insertions: a rotation of
 the first piece, which turns w into A Q C, then the inverse of the cyclic
 reduction of A Q C.  Replay checks it like any other derivation.  Distances
 in a finite ball are sound here, because the argument only needs some
-shorter path.  Only isometrically embedded loops go to the engine.
+shorter path.  Only isometrically embedded loops go to the engine, and the
+Cayley-graph entry point builds only the ball its loops and shortcuts reach:
+a loop of length at most h through the centre stays within h/2 of it, and a
+shortcut of one, at most d = h//2 - 1 edges between two of its vertices,
+within h//2 + d/2, as does each breadth-first parent its certificate reads.
 """
 
 from __future__ import annotations
@@ -190,7 +194,6 @@ def _length_status(
     pres = truncated_presentation(gens, shorter, length, inverse_pairs)
     engine = None
     claims = []
-    statuses = set()
     for w, cycle in exact:
         proof = _shortcut_derivation(pres, w, cycle, shortcuts)
         if proof is not None:
@@ -200,22 +203,32 @@ def _length_status(
                 engine = WordProblemEngine(pres, budget)
             state = engine.is_trivial(w)
         claims.append(TautClaim(w, pres, state))
-        statuses.add(state.status)
         if state.status == REFUTED:
             break
-    if REFUTED in statuses:
-        return LengthStatus(length, TAUT, tuple(claims))
-    if statuses == {PROVED}:
-        return LengthStatus(length, NOT_TAUT, tuple(claims))
-    return LengthStatus(length, UNKNOWN, tuple(claims))
+    return LengthStatus(length, status_from_verdicts([c.state.status for c in claims]), tuple(claims))
+
+
+def status_from_verdicts(verdicts, vacuous: bool = False) -> str:
+    """A length's status from its claims' verdicts, in order: taut when only the
+    last is refuted, not taut when all are proved or a vacuous length has none."""
+    if REFUTED in verdicts and verdicts.index(REFUTED) == len(verdicts) - 1:
+        return TAUT
+    if set(verdicts) == {PROVED} or (vacuous and not verdicts):
+        return NOT_TAUT
+    return UNKNOWN
 
 
 def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_pairs):
-    """Statuses of the given lengths from one ball that certifies the loops
-    up to the horizon."""
-    ball = cayley.build_ball(oracle, gens, (horizon + 1) // 2 + 1)
+    """Statuses of the given lengths from the ball the reach argument above
+    asks for: the metric ball of radius max(h, 3 (h//2) - 1)/2 for the horizon
+    h, with the edges among its farthest vertices (its rim) only when that
+    radius is a half-integer, and never past radius (h + 1)//2 + 1 with its
+    rim, the whole ball whose answers the spectrum keeps."""
+    reach = min(max(horizon, 3 * (horizon // 2) - 1, 0), 2 * ((horizon + 1) // 2) + 3)
+    ball = cayley.build_ball(oracle, gens, reach // 2, _rim=reach % 2 == 1)
     loops = cayley.closed_loops(ball, horizon, ball.center)
-    if not loops.conclusive:
+    # a ball holds the closed walks up to twice its radius, one more with its rim
+    if horizon > 2 * ball.radius + reach % 2:
         raise cayley.OracleInsufficient("ball radius does not certify loop list")
     shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
     pairs = list(zip(loops.words, loops.vertex_cycles))

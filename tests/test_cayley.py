@@ -24,6 +24,7 @@ from tautloop.presentations import GroupPresentation, build_RACG
 from tautloop.words import word
 
 import per_length_closed_walks
+import whole_ball_reference
 
 
 def graph(vs, edges):
@@ -301,6 +302,61 @@ def test_frozen_ball_bytes(oracle, gens, radius, json_sha, dot_sha):
     ball = build_ball(oracle(), gens, radius)
     assert _digest(ball.dumps()) == json_sha
     assert _digest(ball.to_dot()) == dot_sha
+
+
+# ---------------------------------------------------------------------------
+# build_ball against the reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _random_oracles(draw):
+    """A right-angled Coxeter, right-angled Artin or Bestvina-Brady oracle of
+    a random graph on at most 5 vertices, or one of ``ORACLES``, with its
+    generators in a drawn order."""
+    kind = draw(st.sampled_from(("racg", "raag", "bb", "fixed")))
+    if kind == "fixed":
+        oracle, gens = ORACLES[draw(st.sampled_from(sorted(ORACLES)))]()
+    else:
+        vs = "01234"[: draw(st.integers(1, 5))]
+        pairs = list(itertools.combinations(vs, 2))
+        g = graph(vs, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        oracle, gens = {
+            "racg": lambda: (RacgOracle(g), list(g.vertices)),
+            "raag": lambda: (RaagOracle(flag_completion(g)), list(g.vertices)),
+            "bb": lambda: (BBOracle(flag_completion(g)), _edge_gens(g)),
+        }[kind]()
+    return oracle, draw(st.permutations(gens))
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_gens=_random_oracles(), radius=st.integers(0, 3))
+def test_build_ball_equals_the_reference(oracle_gens, radius):
+    oracle, gens = oracle_gens
+    ball = build_ball(oracle, gens, radius)
+    want = whole_ball_reference.build_ball(oracle, gens, radius)
+    assert ball == want
+    assert (ball.dumps(), ball.to_dot()) == (want.dumps(), want.to_dot())
+    # the neighbour lists come sorted without a sort
+    nbrs = ball.neighbor_map()
+    assert all(pairs == sorted(pairs, key=lambda t: t[0]) for pairs in nbrs.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(oracle_gens=_random_oracles(), radius=st.integers(0, 3))
+def test_ball_vertex_word_is_its_parent_word_plus_one_letter(oracle_gens, radius):
+    oracle, gens = oracle_gens
+    ball = build_ball(oracle, gens, radius)
+    nbrs = ball.neighbor_map()
+    by_word = {v.word: v for v in ball.vertices}
+    moves = {((s, e),) for s in gens for e in (1, -1)}
+    for v in ball.vertices[1:]:
+        parent = by_word[v.word[:-1]]
+        assert v.word[-1:] in moves and parent.dist == v.dist - 1 == len(parent.word)
+        # the edge that found the vertex reads the letter its word gained
+        assert dict(nbrs[parent.vid])[v.vid] == v.word[-1:]
+    # and the words name distinct elements
+    assert len({oracle.normal_form(v.word) for v in ball.vertices}) == len(ball.vertices)
 
 
 # ---------------------------------------------------------------------------

@@ -309,6 +309,44 @@ def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):
     assert code == 0 and json.loads(out) == {"checked": 1 + 15 + 150, "failures": 0}
 
 
+@pytest.fixture
+def racg_c5_report(files, capsys):
+    """The `spectrum --oracle racg` report for C5 at horizon 6: taut at 4 only,
+    16 claims, one of them refuted."""
+    path = str(files["dir"] / "r6.json")
+    argv = ["spectrum", "--oracle", "racg", "--complex", files["c5"], "--horizon", "6"]
+    assert run(argv + ["--out", path], capsys)[0] == 0
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert report["taut_lengths"] == [4]
+    code, out = run(["verify-cert", path], capsys)
+    assert code == 0 and json.loads(out) == {"checked": 16, "failures": 0}
+    return report
+
+
+def test_verify_cert_rejects_swapped_statuses(files, capsys, racg_c5_report):
+    # every claim still replays; only the statuses lie, and taut_lengths with them
+    swap = {"taut": "not_taut", "not_taut": "taut"}
+    for status in racg_c5_report["statuses"]:
+        status["status"] = swap[status["status"]]
+    racg_c5_report["taut_lengths"] = [3, 5, 6]
+    code, out = run(["verify-cert", files["dump"]("swapped.json", racg_c5_report)], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 16, "failures": 4}
+
+
+def test_verify_cert_rejects_a_taut_length_without_its_refuted_claim(files, capsys, racg_c5_report):
+    four = next(s for s in racg_c5_report["statuses"] if s["length"] == 4)
+    four["claims"] = [c for c in four["claims"] if c["verdict"]["status"] != "refuted"]
+    code, out = run(["verify-cert", files["dump"]("deleted.json", racg_c5_report)], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 15, "failures": 1}
+
+
+def test_verify_cert_rejects_taut_lengths_that_disagree(files, capsys, racg_c5_report):
+    racg_c5_report["taut_lengths"] = [4, 6]
+    code, out = run(["verify-cert", files["dump"]("lengths.json", racg_c5_report)], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 16, "failures": 1}
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -47,3 +47,26 @@ def test_import_loads_the_cli_only_modules_on_first_use():
     assert got["loaded"] == {"tautloop.davis": False, "tautloop.schedule": False, "tautloop.spectrum": True}
     assert got["all"] == PUBLIC and len(PUBLIC) == 79
     assert got["lazy"] == [True, True]
+
+
+CLI_PROBE = """
+import json, sys
+from tautloop.cli import main
+cli_only = ("tautloop.davis", "tautloop.schedule", "fractions")
+loaded = [m for m in cli_only if m in sys.modules]
+code = main(["spectrum", "--oracle", "racg", "--complex", sys.argv[1], "--horizon", "6",
+             "--out", sys.argv[2]])
+print(json.dumps([loaded, code, [m for m in cli_only if m in sys.modules]]))
+"""
+
+
+def test_cli_and_a_spectrum_load_no_cli_only_module(tmp_path):
+    # davis, schedule and the fractions they use load only in the handlers of
+    # present j, semiker, schedule and kernel-search
+    c5 = tmp_path / "c5.json"
+    edges = [[str(i), str((i + 1) % 5)] for i in range(5)]
+    c5.write_text(json.dumps({"vertices": list("01234"), "edges": edges}))
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    argv = [sys.executable, "-c", CLI_PROBE, str(c5), str(tmp_path / "out.json")]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [[], 0, []]

@@ -1,11 +1,15 @@
 import hashlib
+import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautloop import word_engine
 from tautloop.cayley import (
     BBOracle,
+    CosetTableOracle,
     FreeGroupOracle,
     RaagOracle,
     RacgOracle,
@@ -13,7 +17,7 @@ from tautloop.cayley import (
     closed_walks,
 )
 from tautloop.complexes import SimpleGraph, edge_symbol, flag_completion, pi1_presentation
-from tautloop.presentations import GroupPresentation
+from tautloop.presentations import GroupPresentation, build_RACG
 from tautloop.spectrum import (
     NOT_RELATED,
     NOT_TAUT,
@@ -37,6 +41,8 @@ from tautloop.word_engine import (
     verify_certificate,
 )
 from tautloop.words import canonical_cyclic
+
+import whole_ball_reference
 
 BUDGET = Budget(max_cosets=300, max_deductions=20_000, max_search_depth=2)
 
@@ -346,6 +352,82 @@ def test_unknown_length_keeps_its_claims():
     assert len(verdicts) == 16
     assert verdicts.count("unknown") == 4 and verdicts.count("proved") == 12
     assert all(verify_certificate(c.presentation, c.state) for c in status.claims)
+
+
+# ---------------------------------------------------------------------------
+# the ball a spectrum builds, against the whole ball
+# ---------------------------------------------------------------------------
+
+# name -> (oracle, generators, inverse pairs)
+OTHER_ORACLES = {
+    "free": lambda: (FreeGroupOracle(["a", "b"]), ["a", "b"], ()),
+    "free-pair": lambda: (FreeGroupOracle(["a", "b", "A"], [("a", "A")]), ["a", "b", "A"], (("a", "A"),)),
+    "zmod0": lambda: (ZModOracle(0), ["t"], ()),
+    "zmod4": lambda: (ZModOracle(4), ["t"], ()),
+    "zmod5": lambda: (ZModOracle(5), ["t"], ()),
+    "zmod7": lambda: (ZModOracle(7), ["t"], ()),
+    "klein": lambda: (CosetTableOracle(build_RACG(graph("uv", [("u", "v")]))), ["u", "v"], ()),
+}
+
+
+def _tree_ball_size(branches: int, radius: int) -> int:
+    """Vertices of a ball in the tree where every vertex has ``branches``
+    neighbours, a bound for every Cayley ball with as many moves."""
+    return 1 + sum(branches * (branches - 1) ** i for i in range(radius))
+
+
+@st.composite
+def _reach_cases(draw):
+    """(``spectrum`` or ``taut_status`` with its whole-ball reference, oracle
+    factory, horizon or length).
+
+    The oracle is right-angled Coxeter, right-angled Artin or Bestvina-Brady
+    of a random graph on at most 5 vertices, at horizons 3 to 9 as far as the
+    reference's ball stays within 4,000 vertices (and to 7 past 5 edges), or
+    one of ``OTHER_ORACLES`` at horizons 0 to 10; ``taut_status`` takes
+    lengths 3 to 7 within those."""
+    kind = draw(st.sampled_from(("racg", "raag", "bb", "other")))
+    if kind == "other":
+        make, top = OTHER_ORACLES[draw(st.sampled_from(sorted(OTHER_ORACLES)))], 10
+    else:
+        vs = "01234"[: draw(st.integers(1, 5))]
+        pairs = list(itertools.combinations(vs, 2))
+        g = graph(vs, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+        gens = [edge_symbol(u, v) for u, v in g.sorted_edges()] if kind == "bb" else list(vs)
+        make = {
+            "racg": lambda: (RacgOracle(g), gens, ()),
+            "raag": lambda: (RaagOracle(flag_completion(g)), gens, ()),
+            "bb": lambda: (BBOracle(flag_completion(g)), gens, ()),
+        }[kind]
+        branches = len(gens) if kind == "racg" else 2 * len(gens)
+        top = max(h for h in range(3, 10) if h == 3 or _tree_ball_size(branches, (h + 1) // 2 + 1) <= 4000)
+        if len(g.edges) > 5:
+            top = min(top, 7)  # past 7, a dense graph has thousands of loops
+    if draw(st.booleans()):
+        runs = (spectrum, whole_ball_reference.spectrum)
+        return runs, make, draw(st.integers(0 if kind == "other" else 3, top))
+    return (taut_status, whole_ball_reference.taut_status), make, draw(st.integers(3, min(top, 7)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_reach_cases())
+def test_spectrum_equals_the_whole_ball_reference(case):
+    """The ball trimmed to what the loops and their shortcuts reach gives the
+    same bytes as the whole ball of radius (h + 1)//2 + 1 with its rim.
+
+    Both sides ask the engine the same questions only if they find the same
+    loops and shortcuts, which is what is compared; the unbudgeted finite
+    quotient search is left out so that each engine call stays cheap, and the
+    frozen spectra above cover it."""
+    runs, make, h = case
+    budget = Budget(max_cosets=100, max_deductions=5000, max_search_depth=1)
+    got = []
+    with mock.patch.object(word_engine, "finite_quotient_search", lambda *args: None):
+        for run in runs:
+            oracle, gens, pairs = make()
+            result = run(oracle, gens, h, budget, pairs)
+            got.append((result if isinstance(result, Spectrum) else Spectrum((result,), h)).dumps())
+    assert got[0] == got[1]
 
 
 # ---------------------------------------------------------------------------
