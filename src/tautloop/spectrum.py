@@ -21,10 +21,8 @@ the first piece, which turns w into A Q C, then the inverse of the cyclic
 reduction of A Q C.  Replay checks it like any other derivation.  Distances
 in a finite ball are sound here, because the argument only needs some
 shorter path.  Only isometrically embedded loops go to the engine, and the
-Cayley-graph entry point builds only the ball its loops and shortcuts reach:
-a loop of length at most h through the centre stays within h/2 of it, and a
-shortcut of one, at most d = h//2 - 1 edges between two of its vertices,
-within h//2 + d/2, as does each breadth-first parent its certificate reads.
+Cayley-graph entry point builds only the metric ball of radius h/2 for the
+horizon h, which holds its loops and their shortcuts.
 """
 
 from __future__ import annotations
@@ -219,17 +217,19 @@ def status_from_verdicts(verdicts, vacuous: bool = False) -> str:
 
 
 def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_pairs):
-    """Statuses of the given lengths from the ball the reach argument above
-    asks for: the metric ball of radius max(h, 3 (h//2) - 1)/2 for the horizon
-    h, with the edges among its farthest vertices (its rim) only when that
-    radius is a half-integer, and never past radius (h + 1)//2 + 1 with its
-    rim, the whole ball whose answers the spectrum keeps."""
-    reach = min(max(horizon, 3 * (horizon // 2) - 1, 0), 2 * ((horizon + 1) // 2) + 3)
-    ball = cayley.build_ball(oracle, gens, reach // 2, _rim=reach % 2 == 1)
+    """Statuses of the given lengths from the metric ball of radius h/2 for
+    the horizon h: radius h//2, with the edges among its farthest vertices
+    (its rim) only when h is odd.
+
+    A closed walk of length n <= h through the centre stays within n/2 of it.
+    A shortcut of it joins the vertices at positions i < j by a path of length
+    d < j - i, and every point of every geodesic between them lies within
+    (i + (n - j) + d)/2 < n/2, so within (n - 1)/2.  Ball distances are never
+    shorter than the graph's, so any larger ball gives the same loops in the
+    same order, the same first shortcuts and breadth-first geodesics, and so
+    the same statuses and certificates."""
+    ball = cayley.build_ball(oracle, gens, max(horizon, 0) // 2, _rim=horizon % 2 == 1)
     loops = cayley.closed_loops(ball, horizon, ball.center)
-    # a ball holds the closed walks up to twice its radius, one more with its rim
-    if horizon > 2 * ball.radius + reach % 2:
-        raise cayley.OracleInsufficient("ball radius does not certify loop list")
     shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
     pairs = list(zip(loops.words, loops.vertex_cycles))
     return _statuses(gens, inverse_pairs, pairs, lengths, budget, shortcuts)

@@ -984,7 +984,9 @@ def kernel_shortest_element(
 def _verify_quotient_witness(pres: GroupPresentation, cert: QuotientWitness) -> bool:
     images = dict(cert.images)
     core = pres.core_generators()
-    if set(images) != set(core):
+    codes = reduce_ints(pres.encode(cert.word))
+    # every length is checked before anything of the claimed degree is built
+    if not codes or set(images) != set(core) or any(len(p) != cert.degree for p in images.values()):
         return False
     perms = []
     for g in core:
@@ -996,9 +998,6 @@ def _verify_quotient_witness(pres: GroupPresentation, cert: QuotientWitness) -> 
     for r in pres.core_relators():
         if _eval_perm_word(r, perms, cert.degree) != identity:
             return False
-    codes = reduce_ints(pres.encode(cert.word))
-    if not codes:
-        return False
     return _eval_perm_word(codes, perms, cert.degree) != identity
 
 

@@ -286,6 +286,15 @@ def test_verify_cert_fails_a_certificate_outside_its_presentation(racg_c4_report
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
+def test_verify_cert_fails_a_quotient_witness_with_a_forged_degree(racg_c4_report, files, capsys):
+    _, report = racg_c4_report
+    taut = _claim(report, 4)
+    witness = dict(taut["verdict"]["certificate"], degree=10**20)
+    forged = dict(taut, verdict={"status": "refuted", "certificate": witness})
+    code, out = run(["verify-cert", files["dump"]("degree.json", [forged])], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+
+
 def test_verify_cert_fails_cancelling_symbols_outside_its_presentation(racg_c4_report, files, capsys):
     _, report = racg_c4_report
     cancelling = [["zz", 1], ["zz", -1]]

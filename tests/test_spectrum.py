@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tautloop import word_engine
+from tautloop import cayley, word_engine
 from tautloop.cayley import (
     BBOracle,
     CosetTableOracle,
@@ -428,6 +428,23 @@ def test_spectrum_equals_the_whole_ball_reference(case):
             result = run(oracle, gens, h, budget, pairs)
             got.append((result if isinstance(result, Spectrum) else Spectrum((result,), h)).dumps())
     assert got[0] == got[1]
+
+
+@pytest.mark.parametrize("h", range(10))
+def test_spectrum_builds_the_ball_of_radius_half_its_horizon(h):
+    """A spectrum to horizon h builds the metric ball of radius h/2: radius
+    h//2, with its rim edges exactly when h is odd; in the free group's tree
+    that ball has a closed-form size."""
+    real, built = cayley.build_ball, []
+
+    def build_ball(oracle, gens, radius, *, _rim=True):
+        ball = real(oracle, gens, radius, _rim=_rim)
+        built.append((radius, _rim, len(ball.vertices)))
+        return ball
+
+    with mock.patch.object(cayley, "build_ball", build_ball):
+        spectrum(FreeGroupOracle(["a", "b"]), ["a", "b"], h)
+    assert built == [(h // 2, h % 2 == 1, _tree_ball_size(4, h // 2))]
 
 
 # ---------------------------------------------------------------------------

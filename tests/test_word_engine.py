@@ -376,6 +376,7 @@ def test_tampered_certificates_fail_replay():
         TriState("proved", NormalClosureDerivation(w("a"), ((0, (("zz", 1),)),))),
         TriState("proved", FreeReductionCertificate(w("zz zz-"))),
         TriState("proved", NormalClosureDerivation(w("a a zz zz-"), ((0, w("a- a-")),))),
+        TriState("refuted", QuotientWitness(10**20, (("a", (1, 0)),), w("a"))),
     ],
     ids=[
         "free_reduction",
@@ -383,11 +384,14 @@ def test_tampered_certificates_fail_replay():
         "derivation",
         "cancelling_free_reduction",
         "cancelling_derivation",
+        "forged_degree",
     ],
 )
 def test_certificate_outside_the_presentation_fails_replay(state):
     # a symbol the presentation does not have makes replay fail, not raise,
-    # even where it would cancel against its inverse
+    # even where it would cancel against its inverse; so does a witness whose
+    # degree is not the length of its permutations, before anything that
+    # large is built
     assert verify_certificate(pres("a", "a a"), state) is False
 
 
