@@ -151,6 +151,8 @@ class CayleyBall:
     radius: int
     oracle_tag: str
     edge_letters: tuple[tuple[int, int, Word], ...]  # u, v, a length-1 word u->v
+    # whether the edges among the vertices at distance ``radius`` were built
+    rim: bool = field(default=True, compare=False, repr=False)
     _nbrs: dict = field(default=None, init=False, compare=False, repr=False)
 
     def neighbor_map(self) -> dict[int, list[tuple[int, Word]]]:
@@ -231,7 +233,8 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
     edges = sorted(letters)
     edge_letters = tuple((u, v, letters[u, v]) for u, v in edges)
     tag = getattr(oracle, "tag", type(oracle).__name__)
-    return CayleyBall(0, tuple(verts), frozenset(map(frozenset, edges)), radius, tag, edge_letters)
+    adjacency = frozenset(map(frozenset, edges))
+    return CayleyBall(0, tuple(verts), adjacency, radius, tag, edge_letters, _rim)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +335,9 @@ def closed_loops(ball: CayleyBall, max_len: int, base: int = 0) -> LoopEnumerati
     return LoopEnumeration(
         tuple(w for _, w in found),
         tuple(c for c, _ in found),
-        conclusive=max_len <= 2 * ball.radius,
+        # a closed walk of length n from the centre stays within n/2 of it,
+        # so it uses rim edges only when n is odd
+        conclusive=max_len <= 2 * ball.radius + ball.rim,
     )
 
 

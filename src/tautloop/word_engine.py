@@ -8,9 +8,12 @@ Routes, in the order tried:
 * abelianization witness (exact, via Smith normal form);
 * registered homomorphisms into groups with decidable word problems;
 * budgeted Todd-Coxeter coset enumeration (conclusive both ways when the
-  table completes);
+  table completes), run only when the abelianization is finite, since the
+  table of an infinite group never completes;
 * bounded normal-closure derivation search (independent Proved route);
-* finite-quotient search over symmetric groups (Refuted route).
+* finite-quotient search over symmetric groups (Refuted route), on
+  permutations coded by index; a branch is dropped at the word's last
+  generator when the word maps to the identity there.
 
 Budgets are deterministic; no wall-clock component; so identical inputs
 always give identical answers and certificates.
@@ -667,49 +670,84 @@ def _eval_perm_word(codes: Sequence[int], images: Sequence[tuple[int, ...]], deg
     return acc
 
 
+class _Permutations:
+    """The permutations of one degree, each coded by its index in
+    ``itertools.permutations`` order, so 0 is the identity.  Inverses and
+    products are looked up in tables filled on first use, so a large degree
+    never builds its whole multiplication table."""
+
+    def __init__(self, degree: int) -> None:
+        self.perms = list(itertools.permutations(range(degree)))
+        self._index = {p: i for i, p in enumerate(self.perms)}
+        self._inverse: dict[int, int] = {}
+        self._product: dict[int, int] = {}
+
+    def inverse(self, a: int) -> int:
+        inv = self._inverse.get(a)
+        if inv is None:
+            inv = self._inverse[a] = self._index[_perm_inverse(self.perms[a])]
+        return inv
+
+    def evaluate(self, codes: Sequence[int], signed: Sequence[int]) -> int:
+        """The code of a word whose letter ``c`` maps to ``signed[c]``, the
+        letters applied left to right as ``_eval_perm_word`` applies them."""
+        perms, index, product, size = self.perms, self._index, self._product, len(self.perms)
+        acc = 0
+        for c in codes:
+            p = signed[c]
+            key = acc * size + p
+            nxt = product.get(key)
+            if nxt is None:
+                image = perms[p]
+                nxt = product[key] = index[tuple(image[x] for x in perms[acc])]
+            acc = nxt
+        return acc
+
+
 def _quotient_search(
     pres: GroupPresentation,
     max_degree: int,
-    accept,
+    codes: Sequence[int],
     word_for_witness: Word,
 ) -> QuotientWitness | None:
-    """Lexicographic backtracking over homomorphisms into symmetric groups."""
+    """Lexicographic backtracking over homomorphisms into symmetric groups.
+
+    Each relator is checked at the depth of its last generator, and so is the
+    word ``codes`` when it is not empty: a branch on which the word maps to
+    the identity is dropped there, as it does so at every leaf below.  With
+    no word, a leaf is accepted when some generator maps off the identity.
+    """
     core = pres.core_generators()
-    relators = pres.core_relators()
     n = len(core)
     if n == 0:
         return None
     by_last = [[] for _ in range(n)]
-    for r in relators:
+    for r in pres.core_relators():
         if r:
-            by_last[max(abs(c) for c in r) - 1].append(r)
+            by_last[max(map(abs, r)) - 1].append(r)
+    word_at = max(map(abs, codes)) - 1 if codes else n
     for degree in range(2, max_degree + 1):
-        identity = tuple(range(degree))
-        perms = [tuple(p) for p in itertools.permutations(range(degree))]
-        assignment: list[tuple[int, ...]] = []
+        group = _Permutations(degree)
+        # signed[j] codes the image of generator j and signed[-j], read from
+        # the list's end, its inverse
+        signed = [0] * (2 * n + 1)
 
-        def extend() -> QuotientWitness | None:
-            i = len(assignment)
+        def extend(i: int) -> bool:
             if i == n:
-                if accept(assignment, degree):
-                    images = tuple(sorted(zip(core, assignment)))
-                    return QuotientWitness(degree, images, tuple(word_for_witness))
-                return None
-            for p in perms:
-                assignment.append(p)
-                ok = all(
-                    _eval_perm_word(r, assignment, degree) == identity for r in by_last[i]
-                )
-                if ok:
-                    found = extend()
-                    if found is not None:
-                        return found
-                assignment.pop()
-            return None
+                return bool(codes) or any(signed[1 : n + 1])
+            for p in range(len(group.perms)):
+                signed[i + 1], signed[-i - 1] = p, group.inverse(p)
+                if (
+                    all(group.evaluate(r, signed) == 0 for r in by_last[i])
+                    and (i != word_at or group.evaluate(codes, signed) != 0)
+                    and extend(i + 1)
+                ):
+                    return True
+            return False
 
-        found = extend()
-        if found is not None:
-            return found
+        if extend(0):
+            images = zip(core, (group.perms[signed[i]] for i in range(1, n + 1)))
+            return QuotientWitness(degree, tuple(sorted(images)), tuple(word_for_witness))
     return None
 
 
@@ -725,23 +763,14 @@ def finite_quotient_search(
     codes = pres.encode(w)
     if not codes:
         return None
-
-    def accept(assignment, degree) -> bool:
-        return _eval_perm_word(codes, assignment, degree) != tuple(range(degree))
-
-    return _quotient_search(pres, max_degree, accept, tuple(w))
+    return _quotient_search(pres, max_degree, codes, tuple(w))
 
 
 def nontrivial_quotient_search(
     pres: GroupPresentation, max_degree: int = MAX_QUOTIENT_DEGREE
 ) -> QuotientWitness | None:
     """Witness that the presented group itself is nontrivial."""
-    core = pres.core_generators()
-
-    def accept(assignment, degree) -> bool:
-        return any(p != tuple(range(degree)) for p in assignment)
-
-    witness = _quotient_search(pres, max_degree, accept, ())
+    witness = _quotient_search(pres, max_degree, (), ())
     if witness is None:
         return None
     # surviving generator recorded as the witness word
@@ -787,7 +816,10 @@ class WordProblemEngine:
             image = hom.image(self.pres.decode(codes))
             if image:
                 return _check_invariant(TriState(REFUTED, hom.witness(tuple(w), image)))
-        table = self.table()
+        # a complete table of the trivial subgroup lists the group's elements,
+        # so none exists when the abelianization has a free factor
+        core, diag, _ = self._abelian
+        table = self.table() if sum(map(bool, diag)) == len(core) else None
         if isinstance(table, CosetTable) and table.complete:
             coset = table.trace(0, codes)
             if coset == 0:

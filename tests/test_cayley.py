@@ -67,6 +67,15 @@ def test_zmod_ball_closes_up():
     assert loops.conclusive
 
 
+def test_loop_list_is_conclusive_to_odd_length_with_the_rim():
+    # the 7-loop of Z/7 reaches distance 3 and closes along the rim edge
+    # between the two vertices there
+    with_rim = closed_loops(build_ball(ZModOracle(7), ["t"], 3, _rim=True), 7, 0)
+    assert [len(w) for w in with_rim.words] == [7] and with_rim.conclusive
+    without = closed_loops(build_ball(ZModOracle(7), ["t"], 3, _rim=False), 7, 0)
+    assert without.words == () and not without.conclusive
+
+
 def test_zmod_loops_at_double_length():
     ball = build_ball(ZModOracle(5), ["t"], 6)
     loops = closed_loops(ball, 10, 0)

@@ -36,7 +36,9 @@ from tautloop.spectrum import (
 )
 from tautloop.word_engine import (
     Budget,
+    CosetEnumerationCertificate,
     NormalClosureDerivation,
+    QuotientWitness,
     WordProblemEngine,
     verify_certificate,
 )
@@ -262,6 +264,34 @@ def test_racg_c5_spectrum_to_eight_asks_the_engine_once(engine_words):
     assert_statuses(sp, {4: (TAUT, 1), 6: (NOT_TAUT, 15), 8: (NOT_TAUT, 150)}, engine_words)
     # only the first square, which is taut, needs the engine
     assert engine_words == [sp.status_of(4).claims[0].word]
+
+
+def test_racg_c5_square_is_refuted_in_s3_without_an_enumeration():
+    # The square 0 1 0- 1- is asked in the free group on 01234, as shorter
+    # loops give no relators.  Degree 2 is abelian and kills it.  In S3, in
+    # itertools.permutations order, 0 takes the first non-identity
+    # permutation, (0,2,1); 1 must not commute with it, and the first such
+    # is (1,0,2); the rest stay the identity.  The group is infinite, so no
+    # coset table of it completes and none is started.
+    c5 = cycle_graph(5)
+    with mock.patch.object(word_engine, "todd_coxeter", wraps=word_engine.todd_coxeter) as tc:
+        sp = spectrum(RacgOracle(c5), list(c5.vertices), 7)
+    assert tc.call_count == 0 and sp.lengths() == (4,)
+    (claim,) = sp.status_of(4).claims
+    square = (("0", 1), ("1", 1), ("0", -1), ("1", -1))
+    identity = (0, 1, 2)
+    images = (("0", (0, 2, 1)), ("1", (1, 0, 2)), ("2", identity), ("3", identity), ("4", identity))
+    assert claim.word == square and claim.presentation.relators == ()
+    assert claim.state.refuted and claim.state.certificate == QuotientWitness(3, images, square)
+
+
+def test_cube_spectrum_still_decides_by_enumeration():
+    # the squares fill the cube into a sphere: the length-6 group is finite
+    with mock.patch.object(word_engine, "todd_coxeter", wraps=word_engine.todd_coxeter) as tc:
+        sp = spectrum_of_graph(CUBE, 10)
+    certs = [c.state.certificate for s in sp.statuses for c in s.claims]
+    assert tc.call_count == 1
+    assert sum(isinstance(c, CosetEnumerationCertificate) for c in certs) == 4
 
 
 P4 = graph("0123", [("0", "1"), ("1", "2"), ("2", "3")])

@@ -1,8 +1,12 @@
+import math
 import random
+from unittest import mock
 
 import pytest
 
 import per_word_kernel_search
+import unpruned_quotient_search
+from tautloop import word_engine
 from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion
 from tautloop.linalg import mat_vec
 from tautloop.presentations import (
@@ -162,6 +166,47 @@ def test_nontrivial_quotient_search():
     assert witness is not None
     assert verify_certificate(KLEIN, TriState("refuted", witness))
     assert nontrivial_quotient_search(TRIVIAL) is None
+
+
+def test_quotient_search_equals_the_unpruned_reference():
+    """On seeded presentations with 2-5 generators and 0-3 relators of length
+    at most 6, and words of length at most 8, both searches return the
+    unpruned search's witness, or None where it does.  The degree cap is
+    2-5, lowered until the unpruned search has at most 15,000 leaves."""
+    rng = random.Random(20261019)
+
+    def random_word(gens, length):
+        return tuple((rng.choice(gens), rng.choice((1, -1))) for _ in range(length))
+
+    found = 0
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        gens = "abcde"[:n]
+        degree = rng.randint(2, 5)
+        while math.factorial(degree) ** n > 15_000:
+            degree -= 1
+        relators = [random_word(gens, rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        p = GroupPresentation.build(list(gens), relators)
+        word_ = random_word(gens, rng.randint(0, 8))
+        witness = finite_quotient_search(p, word_, degree)
+        assert witness == unpruned_quotient_search.finite_quotient_search(p, word_, degree)
+        assert nontrivial_quotient_search(p, degree) == (
+            unpruned_quotient_search.nontrivial_quotient_search(p, degree)
+        )
+        found += witness is not None
+    assert 150 <= found < 300
+
+
+def test_is_trivial_runs_no_enumeration_with_a_free_abelian_factor():
+    # a complete table of the trivial subgroup would list the elements of an
+    # infinite group; the commutator dies in Z^2, so the quotient search
+    # refutes it
+    with mock.patch.object(word_engine, "todd_coxeter", wraps=todd_coxeter) as enumerate_:
+        state = is_trivial(FREE2, w("a b a- b-"), BUDGET)
+    assert enumerate_.call_count == 0
+    assert state.refuted and isinstance(state.certificate, QuotientWitness)
+    assert state.certificate.degree == 3
+    assert verify_certificate(FREE2, state)
 
 
 def test_normal_closure_search_finds_conjugated_relator():
