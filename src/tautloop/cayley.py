@@ -40,10 +40,7 @@ class FreeGroupOracle:
 
     def __init__(self, symbols, inverse_pairs=()):
         self.symbols = tuple(symbols)
-        self.pairing = {}
-        for a, b in inverse_pairs:
-            self.pairing[a] = b
-            self.pairing[b] = a
+        self.pairing = words.pairing_map(inverse_pairs)
         self.tag = f"free({','.join(self.symbols)})"
 
     def normal_form(self, w: Word, start: Word = ()):
@@ -58,11 +55,10 @@ class RaagOracle:
 
     def __init__(self, complex_):
         self.engine = normal_forms.RaagEngine(complex_.vertices, complex_.edges)
-        self.letters = {(v, e): (e * i,) for v, i in self.engine.index.items() for e in (1, -1)}
         self.tag = f"raag({','.join(complex_.vertices)})"
 
     def normal_form(self, w: Word, start=()):
-        return self.engine.normal_form(normal_forms.table_letters(self.letters, w), start)
+        return self.engine.normal_form(normal_forms.table_letters(self.engine.letters, w), start)
 
 
 class RacgOracle:
@@ -70,11 +66,10 @@ class RacgOracle:
 
     def __init__(self, graph):
         self.engine = normal_forms.TitsEngine(graph.vertices, graph.edges)
-        self.letters = {(v, e): (i,) for v, i in self.engine.index.items() for e in (1, -1)}
         self.tag = f"racg({','.join(graph.vertices)})"
 
     def normal_form(self, w: Word, start=()):
-        return self.engine.normal_form(normal_forms.table_letters(self.letters, w), start)
+        return self.engine.normal_form(normal_forms.table_letters(self.engine.letters, w), start)
 
 
 class BBOracle:
@@ -115,11 +110,11 @@ class CosetTableOracle:
     """Finite group given by a completed coset enumeration."""
 
     def __init__(self, pres, budget=None):
-        from .word_engine import CosetTable, todd_coxeter
+        from .word_engine import WordProblemEngine
 
         self.pres = pres
-        table = todd_coxeter(pres, (), budget)
-        if not isinstance(table, CosetTable) or not table.complete:
+        table = WordProblemEngine(pres, budget).table()
+        if table is None:
             raise OracleInsufficient("coset enumeration did not complete in budget")
         self.table = table
         self.tag = f"coset({len(table.rows)})"

@@ -81,15 +81,16 @@ def _reject_negative(name: str, value: int) -> bool:
 
 
 def _parse_budget(text: str | None) -> Budget:
-    if not text:
-        return Budget()
-    fields = {"cosets": 2000, "deductions": 200_000, "depth": 3}
-    for part in text.split(","):
+    """A ``Budget`` from ``cosets:N,deductions:N,depth:N``; a field left out
+    keeps its default."""
+    names = {"cosets": "max_cosets", "deductions": "max_deductions", "depth": "max_search_depth"}
+    fields = {}
+    for part in text.split(",") if text else ():
         key, _, val = part.partition(":")
-        if key not in fields or not val.isdigit():
+        if key not in names or not val.isdigit():
             _usage_error(f"bad budget component {part!r}")
-        fields[key] = int(val)
-    return Budget(fields["cosets"], fields["deductions"], fields["depth"])
+        fields[names[key]] = int(val)
+    return Budget(**fields)
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -104,30 +105,35 @@ def _load_omega(path: str) -> OmegaSet:
     return _load_json(path, OmegaSet.from_json)
 
 
-def _make_oracle(spec: str, args):
+def _make_oracle(args):
+    """The oracle that ``--oracle`` names, and its generators: those of
+    ``--gens`` when given, else the oracle's own."""
+    spec = args.oracle
     kind, _, arg = spec.partition(":")
-    if kind == "free":
-        return cayley.FreeGroupOracle(arg.split(",")), arg.split(",")
-    if kind == "zmod":
-        if not arg.isdigit():
-            _usage_error(f"bad order in oracle {spec!r}")
-        return cayley.ZModOracle(int(arg)), ["t"]
     if kind in ("racg", "raag", "bb") and not args.complex:
         _usage_error(f"oracle {kind!r} needs --complex")
-    if kind == "racg":
+    if kind == "free":
+        oracle, gens = cayley.FreeGroupOracle(arg.split(",")), arg.split(",")
+    elif kind == "zmod":
+        if not arg.isdigit():
+            _usage_error(f"bad order in oracle {spec!r}")
+        oracle, gens = cayley.ZModOracle(int(arg)), ["t"]
+    elif kind == "racg":
         graph = _load_complex(args.complex).graph()
-        return cayley.RacgOracle(graph), list(graph.vertices)
-    if kind == "raag":
+        oracle, gens = cayley.RacgOracle(graph), list(graph.vertices)
+    elif kind == "raag":
         cx = _load_complex(args.complex)
-        return cayley.RaagOracle(cx), list(cx.vertices)
-    if kind == "bb":
+        oracle, gens = cayley.RaagOracle(cx), list(cx.vertices)
+    elif kind == "bb":
         cx = _load_complex(args.complex)
         gens = [edge_symbol(u, v) for u, v in cx.graph().sorted_edges()]
-        return cayley.BBOracle(cx), gens
-    if kind == "coset":
+        oracle = cayley.BBOracle(cx)
+    elif kind == "coset":
         pres = _load_json(arg, GroupPresentation.from_json)
-        return cayley.CosetTableOracle(pres), list(pres.core_generators())
-    _usage_error(f"unknown oracle {spec!r}")
+        oracle, gens = cayley.CosetTableOracle(pres), list(pres.core_generators())
+    else:
+        _usage_error(f"unknown oracle {spec!r}")
+    return oracle, args.gens.split(",") if args.gens else gens
 
 
 # ---------------------------------------------------------------------------
@@ -137,17 +143,14 @@ def _make_oracle(spec: str, args):
 
 def cmd_complex_analyze(args) -> int:
     cx = _load_complex(args.complex)
+    homology = [reduced_homology(cx, k) for k in range(cx.dimension + 1)]
     report = {
         "vertices": len(cx.vertices),
         "dimension": cx.dimension,
         "euler_characteristic": cx.euler_characteristic(),
         "connected": cx.is_connected(),
         "homology": {
-            str(k): {
-                "rank": reduced_homology(cx, k).rank,
-                "torsion": list(reduced_homology(cx, k).torsion),
-            }
-            for k in range(cx.dimension + 1)
+            str(k): {"rank": h.rank, "torsion": list(h.torsion)} for k, h in enumerate(homology)
         },
     }
     code = EXIT_OK
@@ -187,9 +190,7 @@ def cmd_ball(args) -> int:
     _parse_budget(args.budget)
     if _reject_negative("radius", args.radius):
         return EXIT_USAGE
-    oracle, gens = _make_oracle(args.oracle, args)
-    if args.gens:
-        gens = args.gens.split(",")
+    oracle, gens = _make_oracle(args)
     ball = cayley.build_ball(oracle, gens, args.radius)
     if args.format == "dot":
         sys.stdout.write(ball.to_dot())
@@ -219,9 +220,7 @@ def cmd_spectrum(args) -> int:
         graph = _load_json(args.graph, lambda data: SimpleGraph.build(**data))
         sp = spectrum_of_graph(graph, args.horizon, budget)
     else:
-        oracle, gens = _make_oracle(args.oracle, args)
-        if args.gens:
-            gens = args.gens.split(",")
+        oracle, gens = _make_oracle(args)
         sp = compute_spectrum(oracle, gens, args.horizon, budget)
     _emit(_spectrum_report(sp), args.out)
     if any(s.status == UNKNOWN for s in sp.statuses):

@@ -297,7 +297,15 @@ def build_J(ga: GroupAction, orbits: OrbitData) -> GroupPresentation:
 
 
 class SemidirectEngine:
-    """Elements of W_K x| G as (Tits normal form over K, coset id in G)."""
+    """Elements of W_K x| G as (Tits normal form over K, coset id in G).
+
+    An equality oracle as those of ``cayley``: ``normal_form(w, start)`` is
+    the element ``start`` followed by the word w, over the Coxeter letters
+    ``w:v`` of the vertices of K (either exponent: they are involutions) and
+    the generators of G.  As (x, g) w_v = (x w_{g.v}, g), a Coxeter letter
+    appends its vertex moved by the group part so far, read from one Tits
+    letter permutation per group element, and a group letter moves the coset.
+    """
 
     def __init__(self, ga: GroupAction, budget: Budget | None = None) -> None:
         self.ga = ga
@@ -305,40 +313,39 @@ class SemidirectEngine:
         self.cosets = CosetTableOracle(ga.group, budget)
         self.identity = ((), 0)
         self._elt_words = [ga.group.decode(r) for r in self.cosets.table.element_words()]
-
-    def act(self, coset: int, letters: tuple[int, ...]) -> tuple[int, ...]:
-        """Twist a Coxeter normal form by the group element of a coset."""
-        g = self._elt_words[coset]
-        moved = [
-            self.tits.index[self.ga.apply_word(g, self.tits.vertices[i])]
-            for i in letters
+        index = self.tits.index
+        self._vertex = {vertex_symbol(v): i for v, i in index.items()}
+        # coset -> the letter of g.v at the letter of each vertex v
+        self._twist = [
+            tuple(index[ga.apply_word(g, v)] for v in self.tits.vertices) for g in self._elt_words
         ]
-        return self.tits.normal_form(moved)
+
+    def normal_form(self, w: Word, start=((), 0)):
+        x, g = start
+        moved = []
+        for sym, exp in w:
+            i = self._vertex.get(sym)
+            if i is None:
+                g = self.cosets.normal_form(((sym, exp),), g)
+            else:
+                moved.append(self._twist[g][i])
+        return self.tits.normal_form(moved, x), g
 
     def mul(self, a, b):
-        (x1, g1), (x2, g2) = a, b
-        twisted = self.act(g1, x2)
-        x = self.tits.normal_form(x1 + twisted)
-        return (x, self.cosets.normal_form(self._elt_words[g2], g1))
+        x, g = b
+        spelled = tuple((vertex_symbol(self.tits.vertices[i]), 1) for i in x)
+        return self.normal_form(spelled + self._elt_words[g], a)
 
     def gen_coxeter(self, v: str):
-        return (self.tits.normal_form([self.tits.index[v]]), 0)
-
-    def gen_group(self, sym: str, exp: int):
-        return ((), self.cosets.normal_form(((sym, exp),)))
+        return self.normal_form(((vertex_symbol(v), 1),))
 
     def eval_word(self, w: Word, vprime: Sequence[str]):
-        vset = set(vprime)
-        out = self.identity
-        for sym, exp in words.word(w):
-            if sym.startswith("w:"):
-                v = sym[2:]
-                if v not in vset:
-                    raise DavisError(f"{sym!r} is not a V' generator")
-                out = self.mul(out, self.gen_coxeter(v))
-            else:
-                out = self.mul(out, self.gen_group(sym, exp))
-        return out
+        w = words.word(w)
+        allowed = {vertex_symbol(v) for v in vprime}
+        for sym, _ in w:
+            if sym.startswith("w:") and sym not in allowed:
+                raise DavisError(f"{sym!r} is not a V' generator")
+        return self.normal_form(w)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +387,10 @@ def _vertex_quotient_map(
     to the unique K(T)-named vertex in its kernel orbit.
     """
     t_names = set(eng_t.ga.graph.vertices)
+    vertices = eng_s.tits.vertices
     out: dict[str, str] = {}
-    for v in eng_s.ga.graph.vertices:
-        orbit = {eng_s.ga.apply_word(eng_s._elt_words[i], v) for i in kernel_cosets}
+    for i, v in enumerate(vertices):
+        orbit = {vertices[eng_s._twist[c][i]] for c in kernel_cosets}
         named = orbit & t_names
         if len(named) != 1:
             raise DavisError(f"kernel orbit of {v} has no unique K(T) name")
@@ -440,11 +448,7 @@ def semiker_experiment(
         nxt = []
         for st in frontier:
             for mv in moves:
-                sym, exp = mv
-                if sym.startswith("w:"):
-                    new = eng_s.mul(st, eng_s.gen_coxeter(sym[2:]))
-                else:
-                    new = eng_s.mul(st, eng_s.gen_group(sym, exp))
+                new = eng_s.normal_form((mv,), st)
                 if new in lengths:
                     continue
                 lengths[new] = depth

@@ -60,6 +60,12 @@ class RightAngledEngine:
             c: frozenset(u for u in letters if abs(u) not in adjacent[abs(c)])
             for c in letters
         }
+        # (symbol, exponent) -> the engine letters of that word letter
+        self.letters = {
+            (v, e): (i if self.involutive else e * i,)
+            for v, i in self.index.items()
+            for e in (1, -1)
+        }
 
     def normal_form(self, letters: Iterable[int], start: Sequence[int] = ()) -> tuple[int, ...]:
         """Normal form of the word ``start`` then ``letters``, where ``start``
@@ -91,10 +97,7 @@ class TitsEngine(RightAngledEngine):
     first = 0
 
     def encode(self, w: Sequence[str]) -> list[int]:
-        try:
-            return [self.index[s] for s in w]
-        except KeyError as exc:
-            raise NormalFormError(f"unknown vertex symbol {exc.args[0]!r}") from None
+        return table_letters(self.letters, [(s, 1) for s in w])
 
     def decode(self, letters: Iterable[int]) -> tuple[str, ...]:
         return tuple(self.vertices[i] for i in letters)
@@ -107,12 +110,7 @@ class RaagEngine(RightAngledEngine):
     """
 
     def encode(self, w: Word) -> list[int]:
-        out = []
-        for sym, exp in w:
-            if sym not in self.index:
-                raise NormalFormError(f"unknown vertex symbol {sym!r}")
-            out.append(exp * self.index[sym])
-        return out
+        return table_letters(self.letters, w)
 
     def decode(self, letters: Iterable[int]) -> Word:
         return tuple(

@@ -63,16 +63,9 @@ class GroupPresentation:
 
     # -- core view -----------------------------------------------------
 
-    def pairing_map(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        for a, b in self.inverse_pairs:
-            out[a] = b
-            out[b] = a
-        return out
-
     def _core_table(self) -> tuple[tuple[str, ...], dict[str, int]]:
         if self._core is None:
-            pairing = self.pairing_map()
+            pairing = words.pairing_map(self.inverse_pairs)
             core = tuple(g for g in self.generators if pairing.get(g, g) >= g)
             index = {g: i + 1 for i, g in enumerate(core)}
             object.__setattr__(self, "_core", (core, index))
@@ -83,7 +76,7 @@ class GroupPresentation:
         return self._core_table()[0]
 
     def normalize_word(self, w: Word) -> Word:
-        return words.free_reduce(words.normalize(w, self.pairing_map()))
+        return words.free_reduce(words.normalize(w, words.pairing_map(self.inverse_pairs)))
 
     def encode(self, w: Word) -> tuple[int, ...]:
         """Signed-index encoding of the freely reduced word over the core
@@ -91,7 +84,7 @@ class GroupPresentation:
         foreign symbol raises even where it would cancel."""
         index = self._core_table()[1]
         out = []
-        for sym, exp in words.normalize(w, self.pairing_map()):
+        for sym, exp in words.normalize(w, words.pairing_map(self.inverse_pairs)):
             if sym not in index:
                 raise PresentationError(f"unknown generator {sym!r}")
             out.append(exp * index[sym])
@@ -253,13 +246,10 @@ class Homomorphism:
 
     def check_relators(self, budget=None):
         """Tri-state the image of each source relator in the target."""
-        from . import word_engine
+        from .word_engine import WordProblemEngine
 
-        if budget is None:
-            budget = word_engine.Budget()
-        return tuple(
-            word_engine.is_trivial(self.target, self.apply(r), budget) for r in self.source.relators
-        )
+        engine = WordProblemEngine(self.target, budget)
+        return tuple(engine.is_trivial(self.apply(r)) for r in self.source.relators)
 
 
 # -- the paper's presentation families ---------------------------------
@@ -330,10 +320,7 @@ def truncated_presentation(
     """Presentation whose relators are the supplied trivial words of length
     strictly below the bound, deduplicated up to rotation, inversion and free
     reduction."""
-    pairing: dict[str, str] = {}
-    for a, b in inverse_pairs:
-        pairing[a] = b
-        pairing[b] = a
+    pairing = words.pairing_map(inverse_pairs)
     canonical = (words.canonical_cyclic(words.normalize(words.word(w), pairing)) for w in trivial_words)
     # canonical forms live on the core alphabet; restrict generators to it.
     # ``build`` drops empty and repeated relators by their canonical form

@@ -770,6 +770,8 @@ def nontrivial_quotient_search(
     pres: GroupPresentation, max_degree: int = MAX_QUOTIENT_DEGREE
 ) -> QuotientWitness | None:
     """Witness that the presented group itself is nontrivial."""
+    if max_degree > MAX_QUOTIENT_DEGREE:
+        raise ValueError(f"max_degree capped at {MAX_QUOTIENT_DEGREE}")
     witness = _quotient_search(pres, max_degree, (), ())
     if witness is None:
         return None
@@ -800,10 +802,18 @@ class WordProblemEngine:
         self._abelian = _abelian_data(pres)
         self._table: CosetTable | BudgetExceeded | None = None
 
-    def table(self) -> CosetTable | BudgetExceeded:
+    def table(self) -> CosetTable | None:
+        """The completed coset table of the trivial subgroup, or None when the
+        enumeration does not complete in the budget.  A complete table lists
+        the group's elements, so none is tried when the abelianization has a
+        free factor: the group is then infinite."""
         if self._table is None:
-            self._table = todd_coxeter(self.pres, (), self.budget)
-        return self._table
+            core, diag, _ = self._abelian
+            if sum(map(bool, diag)) == len(core):
+                self._table = todd_coxeter(self.pres, (), self.budget)
+            else:
+                self._table = BudgetExceeded("infinite abelianization")
+        return self._table if isinstance(self._table, CosetTable) else None
 
     def is_trivial(self, w: Word) -> TriState:
         codes = self.pres.encode(w)
@@ -816,11 +826,8 @@ class WordProblemEngine:
             image = hom.image(self.pres.decode(codes))
             if image:
                 return _check_invariant(TriState(REFUTED, hom.witness(tuple(w), image)))
-        # a complete table of the trivial subgroup lists the group's elements,
-        # so none exists when the abelianization has a free factor
-        core, diag, _ = self._abelian
-        table = self.table() if sum(map(bool, diag)) == len(core) else None
-        if isinstance(table, CosetTable) and table.complete:
+        table = self.table()
+        if table is not None:
             coset = table.trace(0, codes)
             if coset == 0:
                 cert = CosetEnumerationCertificate(
@@ -848,22 +855,21 @@ def is_trivial(
 
 def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> TriState:
     """Tri-state check that the presented group collapses to the identity."""
-    budget = budget or Budget()
-    table = todd_coxeter(pres, (), budget)
-    if isinstance(table, CosetTable) and table.complete and len(table.rows) == 1:
-        cert = CosetEnumerationCertificate(budget, 1, table.content_hash(), (), 0)
+    engine = WordProblemEngine(pres, budget)
+    table = engine.table()
+    if table is not None and len(table.rows) == 1:
+        cert = CosetEnumerationCertificate(engine.budget, 1, table.content_hash(), (), 0)
         return _check_invariant(TriState(PROVED, cert))
     witness = nontrivial_quotient_search(pres, ENGINE_QUOTIENT_DEGREE)
     if witness is None:
         # the abelianization may separate faster than a raw degree search
-        for g in pres.core_generators():
-            ab = abelian_witness(pres, ((g, 1),))
-            if ab is not None:
-                witness = ab
+        for i, g in enumerate(pres.core_generators(), 1):
+            witness = _abelian_quotient(engine._abelian, (i,), ((g, 1),))
+            if witness is not None:
                 break
     if witness is not None:
         return _check_invariant(TriState(REFUTED, witness))
-    if isinstance(table, CosetTable) and table.complete:
+    if table is not None:
         # finite but not order 1: some generator acts nontrivially in the
         # regular representation, which is itself a permutation witness
         regular = table.quotient_witness(pres, ())

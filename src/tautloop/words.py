@@ -31,6 +31,15 @@ def invert(w: Word) -> Word:
     return tuple((s, -e) for s, e in reversed(w))
 
 
+def pairing_map(inverse_pairs: Iterable[Sequence[str]]) -> dict[str, str]:
+    """Each symbol of a formal-inverse pair mapped to its mate."""
+    out: dict[str, str] = {}
+    for a, b in inverse_pairs:
+        out[a] = b
+        out[b] = a
+    return out
+
+
 def normalize(w: Word, inverse_pairs: Mapping[str, str] | None = None) -> Word:
     """Rewrite formally-inverse symbols onto canonical representatives."""
     if not inverse_pairs:

@@ -20,10 +20,12 @@ from tautloop.cayley import (
     graph_distance,
 )
 from tautloop.complexes import SimpleGraph, flag_completion
+from tautloop.davis import SemidirectEngine, choose_orbits, vertex_symbol
 from tautloop.presentations import GroupPresentation, build_RACG
 from tautloop.words import word
 
 import per_length_closed_walks
+from test_davis import C12_Z3
 import whole_ball_reference
 
 
@@ -270,6 +272,8 @@ ORACLES = {
     "racg-c5": lambda: (RacgOracle(C5), list(C5.vertices)),
     "bb-c4": lambda: (BBOracle(flag_completion(C4)), _edge_gens(C4)),
     "bb-c5": lambda: (BBOracle(flag_completion(C5)), _edge_gens(C5)),
+    # W_K x| Z/3 for the rotation of the 12-cycle, on V' and the rotation
+    "j-c12-z3": lambda: (SemidirectEngine(C12_Z3), [vertex_symbol(v) for v in choose_orbits(C12_Z3).vprime] + ["g"]),
 }
 
 

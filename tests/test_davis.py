@@ -1,7 +1,10 @@
+import hashlib
+import json
 import random
 
 import pytest
 
+from tautloop.cayley import UnknownGenerator
 from tautloop.complexes import SimpleGraph
 from tautloop.davis import (
     DavisError,
@@ -17,7 +20,8 @@ from tautloop.davis import (
     vertex_symbol,
 )
 from tautloop.presentations import GroupPresentation, Homomorphism
-from tautloop.word_engine import CosetTable
+from tautloop.spectrum import spectrum
+from tautloop.word_engine import CosetTable, verify_certificate
 
 
 def cycle_graph(n):
@@ -156,6 +160,54 @@ def test_semidirect_engine_coxeter_generators_are_involutions():
         assert eng.mul(g, g) == eng.identity
     with pytest.raises(DavisError):
         eng.eval_word(((vertex_symbol("5"), 1),), orbits.vprime)
+
+
+def test_semidirect_engine_rejects_an_unknown_symbol():
+    eng = SemidirectEngine(C12_Z3)
+    for sym in ("h", "w:12"):
+        with pytest.raises(UnknownGenerator):
+            eng.normal_form(((sym, 1),))
+
+
+def _j_generators():
+    return [vertex_symbol(v) for v in choose_orbits(C12_Z3).vprime] + ["g"]
+
+
+def test_spectrum_of_j_replays_and_is_taut_at_3_and_4():
+    # The loops shorter than 4 are the g^3 triangles, and no loop of length
+    # at most 4 is trivial in <V', g | g^3>: lengths 3 and 4 are taut.  Every
+    # other length up to 7 is vacuous or holds a proof, and every claim replays.
+    sp = spectrum(SemidirectEngine(C12_Z3), _j_generators(), 7)
+    assert sp.lengths() == (3, 4)
+    claims = [c for s in sp.statuses for c in s.claims]
+    assert claims and all(verify_certificate(c.presentation, c.state) for c in claims)
+
+
+def _criterion_10_pair(max_len):
+    z6, z3 = zn_pres(6), zn_pres(3)
+    ga_s = GroupAction.build(cycle_graph(24), z6, rotation(24, 4))
+    ga_t = GroupAction.build(cycle_graph(12), z3, rotation(12, 4))
+    quotient = Homomorphism.identity_on_generators(z6, z3)
+    return semiker_experiment((ga_s, choose_orbits(ga_s)), (ga_t, choose_orbits(ga_t)), quotient, max_len)
+
+
+def _full_collapse():
+    z1 = zn_pres(1, "t")
+    ga_t = GroupAction.build(cycle_graph(4), z1, {"t": {str(i): str(i) for i in range(4)}})
+    quotient = Homomorphism.build(C12_Z3.group, z1, {"g": ()})
+    return semiker_experiment((C12_Z3, choose_orbits(C12_Z3)), (ga_t, choose_orbits(ga_t)), quotient, 4)
+
+
+# SHA-256 of the sorted JSON of each report, computed with the product that
+# twisted each factor by ``GroupAction.apply_word``
+@pytest.mark.parametrize("run, sha", [
+    (lambda: _criterion_10_pair(6), "3020ea5a45fe72afde74c50049ca80d4691e7ae5d81607b65f653f534863f1bc"),
+    (lambda: _criterion_10_pair(7), "da46a9a28399791b763921bfb9111d4140b3ea2e7302c79d4defe48eccd28411"),
+    (_full_collapse, "47f3c1a90dfc24e7896cddc5770a1da0589625d53d8f2077d0b9da362c84aa04"),
+], ids=["criterion-10-len-6", "criterion-10-len-7", "full-collapse"])
+def test_frozen_semiker_bytes(run, sha):
+    text = json.dumps(run().to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
 def test_semiker_identity_quotient_is_vacuous():

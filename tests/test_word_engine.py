@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from unittest import mock
@@ -207,6 +208,39 @@ def test_is_trivial_runs_no_enumeration_with_a_free_abelian_factor():
     assert state.refuted and isinstance(state.certificate, QuotientWitness)
     assert state.certificate.degree == 3
     assert verify_certificate(FREE2, state)
+
+
+def test_group_is_trivial_runs_no_enumeration_with_a_free_abelian_factor():
+    # Z^2 is infinite, so no coset table of it can complete; the refutation
+    # is the degree-2 witness that the earlier code also returned after its
+    # enumeration ran out of budget
+    z2 = pres("ab", "a b a- b-")
+    with mock.patch.object(word_engine, "todd_coxeter", wraps=todd_coxeter) as enumerate_:
+        state = group_is_trivial(z2)
+    assert enumerate_.call_count == 0
+    assert json.dumps(state.to_json(), sort_keys=True) == (
+        '{"certificate": {"degree": 2, "images": {"a": [0, 1], "b": [1, 0]}, '
+        '"type": "quotient_witness", "word": [["b", 1]]}, "status": "refuted"}'
+    )
+    assert verify_certificate(z2, state)
+
+
+def test_nontrivial_quotient_search_rejects_a_degree_past_the_cap():
+    # raised before any permutation is built; the free group would otherwise
+    # give a witness at degree 2
+    with pytest.raises(ValueError, match="capped"):
+        nontrivial_quotient_search(FREE2, word_engine.MAX_QUOTIENT_DEGREE + 1)
+
+
+def test_check_relators_enumerates_the_target_once():
+    # each relator of S3 dies in its abelianization Z/2, so each is decided
+    # by the one coset table of the target
+    hom = Homomorphism.identity_on_generators(S3, S3)
+    with mock.patch.object(word_engine, "todd_coxeter", wraps=todd_coxeter) as enumerate_:
+        states = hom.check_relators(BUDGET)
+    assert enumerate_.call_count == 1
+    assert states == tuple(is_trivial(S3, r, BUDGET) for r in S3.relators)
+    assert all(s.proved and s.certificate.n_cosets == 6 for s in states)
 
 
 def test_normal_closure_search_finds_conjugated_relator():
