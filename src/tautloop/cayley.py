@@ -283,7 +283,9 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
     One depth-first search per base files the closed walks of every length
     by length.  No walk visits an earlier base, so a class is found only from
     its earliest base and is keyed by its least rotation from that base, read
-    either way; the first walk of each class in search order is kept.
+    either way; the first walk of each class in search order is kept.  It
+    leaves the base by the first neighbour that its class steps to or from
+    at the base, so no walk after those leaving by a neighbour uses its edge.
     """
     bases = tuple(dict.fromkeys(bases))
     rank = {base: i for i, base in enumerate(bases)}
@@ -319,7 +321,12 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
                 path.pop()
                 letters.pop()
 
-        extend(base)
+        for first in tuple(near[base]):
+            path[1:], letters[:] = [first[0]], [first[1]]
+            extend(first[0])
+            # then bar the edge between this neighbour and the base
+            near[base].remove(first)
+            near[first[0]] = [step for step in near[first[0]] if step[0] != base]
         del extend  # it refers to itself; without this its tables wait for the collector
     return [walk for walks in by_length for walk in walks]
 

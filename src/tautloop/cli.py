@@ -105,9 +105,9 @@ def _load_omega(path: str) -> OmegaSet:
     return _load_json(path, OmegaSet.from_json)
 
 
-def _make_oracle(args):
-    """The oracle that ``--oracle`` names, and its generators: those of
-    ``--gens`` when given, else the oracle's own."""
+def _make_oracle(args, budget: Budget):
+    """The oracle that ``--oracle`` names, a coset table enumerated within the
+    budget, and its generators: those of ``--gens`` if given, else its own."""
     spec = args.oracle
     kind, _, arg = spec.partition(":")
     if kind in ("racg", "raag", "bb") and not args.complex:
@@ -130,7 +130,7 @@ def _make_oracle(args):
         oracle = cayley.BBOracle(cx)
     elif kind == "coset":
         pres = _load_json(arg, GroupPresentation.from_json)
-        oracle, gens = cayley.CosetTableOracle(pres), list(pres.core_generators())
+        oracle, gens = cayley.CosetTableOracle(pres, budget), list(pres.core_generators())
     else:
         _usage_error(f"unknown oracle {spec!r}")
     return oracle, args.gens.split(",") if args.gens else gens
@@ -185,12 +185,11 @@ def cmd_present(args) -> int:
 
 
 def cmd_ball(args) -> int:
-    # a ball needs no budget, but --budget is common to every subcommand and a
-    # malformed one is a usage error
-    _parse_budget(args.budget)
+    # the budget bounds the enumeration of a coset-table oracle
+    budget = _parse_budget(args.budget)
     if _reject_negative("radius", args.radius):
         return EXIT_USAGE
-    oracle, gens = _make_oracle(args)
+    oracle, gens = _make_oracle(args, budget)
     ball = cayley.build_ball(oracle, gens, args.radius)
     if args.format == "dot":
         sys.stdout.write(ball.to_dot())
@@ -220,7 +219,7 @@ def cmd_spectrum(args) -> int:
         graph = _load_json(args.graph, lambda data: SimpleGraph.build(**data))
         sp = spectrum_of_graph(graph, args.horizon, budget)
     else:
-        oracle, gens = _make_oracle(args)
+        oracle, gens = _make_oracle(args, budget)
         sp = compute_spectrum(oracle, gens, args.horizon, budget)
     _emit(_spectrum_report(sp), args.out)
     if any(s.status == UNKNOWN for s in sp.statuses):

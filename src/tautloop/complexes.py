@@ -88,7 +88,7 @@ class FlagComplex:
     vertices: tuple[str, ...]
     edges: frozenset[frozenset[str]]
     _cliques: tuple[tuple[str, ...], ...] = field(default=None, compare=False, repr=False)
-    _trees: dict = field(default_factory=dict, compare=False, repr=False)  # basepoint -> tree
+    _trees: dict = field(default_factory=dict, compare=False, repr=False)  # basepoint -> tree, chords
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph(self.vertices, self.edges)
@@ -269,9 +269,9 @@ def is_acyclic(complex_: FlagComplex) -> bool:
 def spanning_tree(complex_: FlagComplex, basepoint: str) -> frozenset[frozenset[str]]:
     """Deterministic spanning tree: grow from the basepoint, always attaching
     the lowest-index unreached vertex through its lowest-index reached
-    neighbour.  Built once per basepoint and kept on the complex."""
+    neighbour.  Built once per basepoint, kept with its ``chord_words``."""
     if basepoint in complex_._trees:
-        return complex_._trees[basepoint]
+        return complex_._trees[basepoint][0]
     if basepoint not in complex_.vertices:
         raise ComplexError(f"unknown basepoint {basepoint!r}")
     reached = [basepoint]
@@ -291,8 +291,20 @@ def spanning_tree(complex_: FlagComplex, basepoint: str) -> frozenset[frozenset[
                 break
         if not grown:
             raise ComplexError("complex is disconnected")
-    complex_._trees[basepoint] = frozenset(tree)
-    return complex_._trees[basepoint]
+    chords = {}
+    for u, v in complex_.graph().sorted_edges():
+        letter = () if frozenset((u, v)) in tree else ((edge_symbol(u, v), 1),)
+        chords[u, v], chords[v, u] = letter, words.invert(letter)
+    complex_._trees[basepoint] = (frozenset(tree), chords)
+    return complex_._trees[basepoint][0]
+
+
+def chord_words(complex_: FlagComplex, basepoint: str) -> dict[tuple[str, str], tuple]:
+    """The word read along each directed edge through the spanning tree at
+    the basepoint: empty on a tree edge, else the letter of the chord, named
+    from its lower-index end."""
+    spanning_tree(complex_, basepoint)
+    return complex_._trees[basepoint][1]
 
 
 def edge_symbol(u: str, v: str) -> str:
@@ -339,14 +351,8 @@ def loop_word(complex_: FlagComplex, loop: EdgeLoop, basepoint: str | None = Non
     """Rewrite a loop through the pi1 spanning tree into a chord word."""
     if basepoint is None:
         basepoint = complex_.vertices[0]
-    tree = spanning_tree(complex_, basepoint)
-    out = []
-    for u, v in loop.directed_edges():
-        if frozenset((u, v)) in tree:
-            continue
-        a, b = sorted((u, v), key=complex_.vertices.index)
-        out.append((edge_symbol(a, b), 1 if (a, b) == (u, v) else -1))
-    return words.free_reduce(tuple(out))
+    chords = chord_words(complex_, basepoint)
+    return words.free_reduce(tuple(x for edge in loop.directed_edges() for x in chords[edge]))
 
 
 def normally_generates(complex_: FlagComplex, omega: OmegaSet, budget=None):

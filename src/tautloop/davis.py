@@ -15,7 +15,7 @@ g_u^-1 * w_ubar * g_u where ubar = g_u.u lies in V'.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import words
@@ -39,14 +39,15 @@ def vertex_symbol(v: str) -> str:
 class GroupAction:
     """A finite group acting on a simple graph by vertex permutations.
 
-    The group must have a completed coset enumeration, which
-    ``cayley.CosetTableOracle`` holds; ``action`` maps each core generator
-    to a vertex permutation.
+    The group must have a completed coset enumeration, kept on the action
+    per budget in a ``cayley.CosetTableOracle``; ``action`` maps each core
+    generator to a vertex permutation.
     """
 
     graph: SimpleGraph
     group: GroupPresentation
     action: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    _cosets: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # budget -> oracle
 
     @classmethod
     def build(
@@ -86,11 +87,16 @@ class GroupAction:
                 out = {v: k for k, v in perm.items()}[out]
         return out
 
+    def cosets(self, budget: Budget | None = None) -> CosetTableOracle:
+        budget = budget or Budget()
+        if budget not in self._cosets:
+            self._cosets[budget] = CosetTableOracle(self.group, budget)
+        return self._cosets[budget]
+
     def element_permutations(self, budget: Budget | None = None):
         """(representative word, vertex permutation) for every group element."""
-        table = CosetTableOracle(self.group, budget).table
         out = []
-        for rep in table.element_words():
+        for rep in self.cosets(budget).table.element_words():
             w = self.group.decode(rep)
             out.append((w, {v: self.apply_word(w, v) for v in self.graph.vertices}))
         return out
@@ -310,7 +316,7 @@ class SemidirectEngine:
     def __init__(self, ga: GroupAction, budget: Budget | None = None) -> None:
         self.ga = ga
         self.tits = TitsEngine(ga.graph.vertices, ga.graph.edges)
-        self.cosets = CosetTableOracle(ga.group, budget)
+        self.cosets = ga.cosets(budget)
         self.identity = ((), 0)
         self._elt_words = [ga.group.decode(r) for r in self.cosets.table.element_words()]
         index = self.tits.index

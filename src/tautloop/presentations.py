@@ -116,13 +116,18 @@ class GroupPresentation:
         insertion-ordered set: iteration follows the relators, and membership
         is one lookup."""
         if self._variants is None:
-            variants = {}
-            for r in self.core_relators():
-                for base in (r, invert_ints(r)):
-                    for i in range(len(base)):
-                        variants.setdefault(base[i:] + base[:i])
-            object.__setattr__(self, "_variants", variants)
+            object.__setattr__(self, "_variants", _add_variants({}, self.core_relators()))
         return self._variants
+
+    def extended(self, relators: Sequence[Word]) -> "GroupPresentation":
+        """``build`` of this presentation's relators followed by new ones in
+        the canonical forms that ``truncated_presentation`` keeps, with the
+        encoded relators and variants grown from this presentation's."""
+        out = GroupPresentation(self.generators, self.relators + tuple(relators), self.inverse_pairs)
+        encoded = tuple(self.encode(r) for r in relators)
+        object.__setattr__(out, "_core_relators", self.core_relators() + encoded)
+        object.__setattr__(out, "_variants", _add_variants(dict(self.relator_variants()), encoded))
+        return out
 
     # -- serialization -------------------------------------------------
 
@@ -183,6 +188,15 @@ def reduce_ints(w: Sequence[int]) -> tuple[int, ...]:
 
 def invert_ints(w: Sequence[int]) -> tuple[int, ...]:
     return tuple(-c for c in reversed(w))
+
+
+def _add_variants(variants: dict, relators) -> dict:
+    """Adds every rotation of each relator and of its inverse, in order."""
+    for r in relators:
+        for base in (r, invert_ints(r)):
+            for i in range(len(base)):
+                variants.setdefault(base[i:] + base[:i])
+    return variants
 
 
 def cyclic_reduce_ints(w: Sequence[int]) -> tuple[int, ...]:

@@ -1,14 +1,15 @@
 """Taut loop length spectra and the k-relatedness comparison.
 
 A loop of length l is taut when it stays nontrivial after every strictly
-shorter loop has been filled in.  That is decided at the group level: collect
-the trivial words shorter than l, present the quotient they normally
-generate, and settle each length-l loop in it.  Both a Cayley-graph entry
-point (driven by an equality oracle) and a finite-graph entry point are
-provided.  Both enumerate their loops with ``cayley.closed_walks``, one
-depth-first search per base that files the closed walks of every length at
-once, over a neighbour map that also serves the shortcut filter; both use
-one per-length rule.
+shorter loop has been filled in.  That is decided at the group level:
+collect the trivial words shorter than l, present the quotient they normally
+generate, and settle each length-l loop in it.  The presentation grows from
+one length with loops to the next, by the loops in between.  Both a
+Cayley-graph entry point (driven by an equality oracle) and a finite-graph
+entry point are provided.  Both enumerate their loops with
+``cayley.closed_walks``, one depth-first search per base that files the
+closed walks of every length at once, over a neighbour map that also serves
+the shortcut filter; both use one per-length rule.
 
 Most loops are settled without the word-problem engine, by the splitting
 argument behind Bowditch's taut loops.  If two vertices of a length-l loop
@@ -31,7 +32,7 @@ import json
 from dataclasses import dataclass
 
 from . import cayley, words
-from .complexes import EdgeLoop, FlagComplex, SimpleGraph, edge_symbol, loop_word, spanning_tree
+from .complexes import EdgeLoop, FlagComplex, SimpleGraph, chord_words, loop_word
 from .presentations import (
     GroupPresentation,
     cyclic_reduce_ints,
@@ -125,7 +126,7 @@ class Spectrum:
 
 
 def _shortcut_derivation(
-    pres: GroupPresentation, w: Word, cycle, shortcuts: cayley.Shortcuts
+    pres: GroupPresentation, codes: dict, w: Word, cycle, shortcuts: cayley.Shortcuts
 ) -> NormalClosureDerivation | None:
     """Two insertions reducing a loop with a shortcut to the empty word.
 
@@ -135,7 +136,8 @@ def _shortcut_derivation(
     ``pres``.  The first step inserts a rotation of the first piece, or of
     its inverse, turning w into A Q C; the second writes A Q C as u c u^-1
     with c cyclically reduced and inserts c^-1 after u.  None when a piece
-    is not a relator, so that the loop goes to the engine.
+    is not a relator, so that the loop goes to the engine.  ``codes`` maps
+    each letter to its signed index in ``pres``.
     """
     cut = shortcuts.find(cycle)
     if cut is None:
@@ -143,16 +145,17 @@ def _shortcut_derivation(
     a, b, q = cut
     edges = shortcuts.letters(cycle)
     head, arc, tail = (
-        tuple(x for e in part for x in e) for part in (edges[:a], edges[a:b], edges[b:])
+        [codes[x] for e in part for x in e] for part in (edges[:a], edges[a:b], edges[b:])
     )
-    state = pres.encode(w)
-    target = pres.encode(head + q + tail)
+    q = [codes[x] for x in q]
+    state = reduce_ints(head + arc + tail)
+    target = reduce_ints(head + q + tail)
     variants = pres.relator_variants()
     steps = []
     if state != target:
         # the cyclic reduction of Q B^-1 comes first: it is the insertion
         # when w, Q and B are freely reduced
-        piece = cyclic_reduce_ints(pres.encode(q + words.invert(arc)))
+        piece = cyclic_reduce_ints(q + [-c for c in reversed(arc)])
         candidates = (
             (pos, var)
             for base in (piece, invert_ints(piece))
@@ -176,24 +179,19 @@ def _shortcut_derivation(
     return NormalClosureDerivation(tuple(w), tuple((pos, pres.decode(v)) for pos, v in steps))
 
 
-def _length_status(
-    gens, inverse_pairs, shorter, exact, length: int, budget: Budget, shortcuts
-) -> LengthStatus:
+def _length_status(pres, codes, exact, length: int, budget: Budget, shortcuts) -> LengthStatus:
     """The one per-length rule: a length is taut when some loop of it stays
-    nontrivial in the quotient by the shorter loops, and not taut when every
-    loop of it is proved trivial there.
+    nontrivial in the quotient ``pres`` by the shorter loops, and not taut
+    when every loop of it is proved trivial there.
 
     ``exact`` holds (word, vertex cycle) pairs.  Given the ``shortcuts`` of
     the graph the cycles live in, a loop with a shortcut is proved by its
     splitting derivation; the engine, built on first need, decides the rest.
     An unknown length keeps the claims it made, undecided ones included."""
-    if not exact:
-        return LengthStatus(length, NOT_TAUT, (), vacuous=True)
-    pres = truncated_presentation(gens, shorter, length, inverse_pairs)
     engine = None
     claims = []
     for w, cycle in exact:
-        proof = _shortcut_derivation(pres, w, cycle, shortcuts)
+        proof = _shortcut_derivation(pres, codes, w, cycle, shortcuts)
         if proof is not None:
             state = TriState(PROVED, proof)
         else:
@@ -236,20 +234,35 @@ def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_
 
 
 def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
-    """The per-length rule at each of the lengths, for loops given as
-    (word, vertex cycle) pairs and split by the length of the cycle."""
-    return tuple(
-        _length_status(
-            gens,
-            inverse_pairs,
-            [w for w, c in loops if len(c) < l],
-            [(w, c) for w, c in loops if len(c) == l],
-            l,
-            budget,
-            shortcuts,
-        )
-        for l in lengths
-    )
+    """The per-length rule at each of the lengths, in increasing order, for
+    loops given as (word, vertex cycle) pairs in order of the cycle's length.
+
+    Each length's quotient is ``truncated_presentation`` of the shorter
+    loops, grown rather than rebuilt: the presentation of a length with
+    loops extends that of the last such length by the canonical forms of
+    the loops in between, each loop put in that form once.  A loop's word
+    is no longer than its cycle, so no form reaches the length."""
+    filed: dict[int, list] = {}
+    for w, c in loops:
+        filed.setdefault(len(c), []).append((w, c))
+    pairing = words.pairing_map(inverse_pairs)
+    pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
+    # each letter's signed index, the same in every grown presentation
+    codes = {(g, e): pres.encode(words.normalize(((g, e),), pairing))[0] for g in gens for e in (1, -1)}
+    seen: set[Word] = set()
+    done = 0  # the loops shorter than this are relators of ``pres``
+    out = []
+    for l in lengths:
+        if l not in filed:
+            out.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
+            continue
+        forms = (words.canonical_cyclic(words.normalize(w, pairing))
+                 for n in range(done, l) for w, _ in filed.get(n, ()))
+        new = [r for r in dict.fromkeys(forms) if r and r not in seen]
+        seen.update(new)
+        pres, done = pres.extended(new), l
+        out.append(_length_status(pres, codes, filed[l], l, budget, shortcuts))
+    return tuple(out)
 
 
 def taut_status(
@@ -283,25 +296,20 @@ def spectrum_of_graph(
     Loops from every basepoint are deduplicated up to rotation and reversal
     and rewritten through a spanning tree into words of the free fundamental
     group; the tree conjugation does not change normal closures or
-    triviality.  In the neighbour map that the loop enumeration and the
-    shortcut filter share, a chord of the tree reads its letter and a tree
-    edge the empty word; ``sorted_edges`` keeps each vertex's neighbours in
-    vertex order.
+    triviality.  The loop enumeration and the shortcut filter share one
+    neighbour map, whose edges read their ``chord_words``; ``sorted_edges``
+    keeps each vertex's neighbours in vertex order.
     """
     budget = budget or Budget()
     complex_ = FlagComplex(graph.vertices, graph.edges)
     if not complex_.is_connected():
         raise ValueError("spectrum needs a connected graph")
-    tree = spanning_tree(complex_, complex_.vertices[0])
+    chords = chord_words(complex_, complex_.vertices[0])
     nbrs = {v: [] for v in graph.vertices}
-    gens = []
     for u, v in graph.sorted_edges():
-        letter = ()
-        if frozenset((u, v)) not in tree:
-            gens.append(edge_symbol(u, v))
-            letter = ((gens[-1], 1),)
-        nbrs[u].append((v, letter))
-        nbrs[v].append((u, words.invert(letter)))
+        nbrs[u].append((v, chords[u, v]))
+        nbrs[v].append((u, chords[v, u]))
+    gens = [sym for u, v in graph.sorted_edges() for sym, _ in chords[u, v]]
     shortcuts = cayley.Shortcuts(nbrs, horizon)
     loops = [
         (loop_word(complex_, EdgeLoop(c)), c)

@@ -407,6 +407,17 @@ def test_closed_walks_equal_the_per_length_reference(nbrs, max_len, data):
         )
 
 
+# the Petersen graph and the cube, each with closed walks of length 10 that
+# pass through a base twice
+PETERSEN = graph(
+    [str(i) for i in range(10)],
+    [(str(i), str((i + 1) % 5)) for i in range(5)] + [(str(i), str(i + 5)) for i in range(5)]
+    + [(str(5 + i), str(5 + (i + 2) % 5)) for i in range(5)],
+)
+CUBE = graph(
+    [str(i) for i in range(8)],
+    [(str(a), str(a ^ (1 << b))) for a in range(8) for b in range(3) if a < a ^ (1 << b)],
+)
 BOW_TIE = graph("01234", [("0", "1"), ("1", "2"), ("2", "0"), ("0", "3"), ("3", "4"), ("4", "0")])
 
 
@@ -433,7 +444,10 @@ def test_closed_walks_through_the_base_twice():
     (lambda: build_ball(RacgOracle(C5), list(C5.vertices), 5).neighbor_map(), 7, range(6)),
     (lambda: build_ball(BBOracle(flag_completion(C4)), _edge_gens(C4), 4).neighbor_map(), 6, (0,)),
     (lambda: build_ball(BBOracle(flag_completion(C4)), _edge_gens(C4), 4).neighbor_map(), 6, range(6)),
-], ids=["bow-tie", "bow-tie-every-base", "racg-c5", "racg-c5-six-bases", "bb-c4", "bb-c4-six-bases"])
+    (lambda: _graph_nbrs(PETERSEN), 10, PETERSEN.vertices),
+    (lambda: _graph_nbrs(CUBE), 10, CUBE.vertices),
+], ids=["bow-tie", "bow-tie-every-base", "racg-c5", "racg-c5-six-bases", "bb-c4", "bb-c4-six-bases",
+        "petersen-every-base", "cube-every-base"])
 def test_closed_walks_of_fixed_maps_equal_the_per_length_reference(nbrs, max_len, bases):
     nbrs = nbrs()
     want = per_length_closed_walks.closed_walks(nbrs, max_len, bases)

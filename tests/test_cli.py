@@ -102,6 +102,14 @@ def test_ball_budget_exhaustion(files, capsys):
     assert code == 3
 
 
+def test_ball_coset_oracle_enumerates_within_the_budget(files, capsys):
+    # the cyclic group of order 30 needs more than five cosets
+    pres = files["dump"]("z30.json", {"generators": ["a"], "relators": [[["a", 1]] * 30]})
+    argv = ["ball", "--oracle", f"coset:{pres}", "--radius", "1"]
+    assert run(argv, capsys)[0] == 0
+    assert run(argv + ["--budget", "cosets:5"], capsys)[0] == 3
+
+
 def test_spectrum_of_graph(files, capsys):
     code, out = run(
         ["spectrum", "--graph", files["c5"], "--horizon", "8"], capsys

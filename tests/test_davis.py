@@ -21,7 +21,7 @@ from tautloop.davis import (
 )
 from tautloop.presentations import GroupPresentation, Homomorphism
 from tautloop.spectrum import spectrum
-from tautloop.word_engine import CosetTable, verify_certificate
+from tautloop.word_engine import Budget, CosetTable, verify_certificate
 
 
 def cycle_graph(n):
@@ -240,11 +240,8 @@ def test_semiker_full_collapse_passes_with_witnesses():
     assert data["passed"] and data["N"] == 2
 
 
-def test_semiker_enumerates_each_group_once(monkeypatch):
-    z6, z3 = zn_pres(6), zn_pres(3)
-    ga_s = GroupAction.build(cycle_graph(24), z6, rotation(24, 4))
-    ga_t = GroupAction.build(cycle_graph(12), z3, rotation(12, 4))
-    instances = (ga_s, choose_orbits(ga_s)), (ga_t, choose_orbits(ga_t))
+def _count_coset_tables(monkeypatch) -> list:
+    """The core-alphabet size of every ``CosetTable`` built from now on."""
     built = []
     original = CosetTable.__init__
 
@@ -253,8 +250,29 @@ def test_semiker_enumerates_each_group_once(monkeypatch):
         original(self, n_core)
 
     monkeypatch.setattr(CosetTable, "__init__", counted)
+    return built
+
+
+def test_semiker_enumerates_each_group_once(monkeypatch):
+    z6, z3 = zn_pres(6), zn_pres(3)
+    ga_s = GroupAction.build(cycle_graph(24), z6, rotation(24, 4))
+    ga_t = GroupAction.build(cycle_graph(12), z3, rotation(12, 4))
+    built = _count_coset_tables(monkeypatch)
+    instances = (ga_s, choose_orbits(ga_s)), (ga_t, choose_orbits(ga_t))
     report = semiker_experiment(*instances, Homomorphism.identity_on_generators(z6, z3), 6)
     assert report.passed and len(built) == 2
+
+
+def test_an_action_enumerates_its_group_once_per_budget(monkeypatch):
+    ga = GroupAction.build(cycle_graph(12), zn_pres(3), rotation(12, 4))
+    budget = Budget(max_cosets=100)
+    built = _count_coset_tables(monkeypatch)
+    check_action(ga, budget)
+    choose_orbits(ga, budget)
+    SemidirectEngine(ga, budget)
+    assert len(built) == 1
+    check_action(ga)
+    assert len(built) == 2
 
 
 def test_instance_json_round_trip():

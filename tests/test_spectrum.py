@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import sys
 from unittest import mock
 
 import pytest
@@ -17,7 +18,7 @@ from tautloop.cayley import (
     closed_walks,
 )
 from tautloop.complexes import SimpleGraph, edge_symbol, flag_completion, pi1_presentation
-from tautloop.presentations import GroupPresentation, build_RACG
+from tautloop.presentations import GroupPresentation, build_RACG, truncated_presentation
 from tautloop.spectrum import (
     NOT_RELATED,
     NOT_TAUT,
@@ -45,6 +46,8 @@ from tautloop.word_engine import (
 from tautloop.words import canonical_cyclic
 
 import whole_ball_reference
+
+spectrum_mod = sys.modules["tautloop.spectrum"]
 
 BUDGET = Budget(max_cosets=300, max_deductions=20_000, max_search_depth=2)
 
@@ -382,6 +385,62 @@ def test_unknown_length_keeps_its_claims():
     assert len(verdicts) == 16
     assert verdicts.count("unknown") == 4 and verdicts.count("proved") == 12
     assert all(verify_certificate(c.presentation, c.state) for c in status.claims)
+
+
+# ---------------------------------------------------------------------------
+# the grown presentations, against the one-shot truncated presentation
+# ---------------------------------------------------------------------------
+
+
+def _grown_case(name):
+    """(oracle, generators, inverse pairs, horizon) of a named case."""
+    if name == "free-pair":
+        return (*OTHER_ORACLES["free-pair"](), 6)
+    if name == "coset-pair":  # S3, with A the kept member of a formal-inverse pair
+        a, b = ("A", 1), ("b", 1)
+        pres = GroupPresentation.build(["A", "a", "b"], [(a, a, a), (b, b), (a, b) * 2], [("A", "a")])
+        return CosetTableOracle(pres), ["A", "a", "b"], (("A", "a"),), 6
+    kind, n = name.split("-c")
+    g = cycle_graph(int(n))
+    if kind == "racg":
+        return RacgOracle(g), list(g.vertices), (), 7
+    if kind == "raag":
+        return RaagOracle(flag_completion(g)), list(g.vertices), (), 6
+    return BBOracle(flag_completion(g)), [edge_symbol(u, v) for u, v in g.sorted_edges()], (), 6
+
+
+@pytest.mark.parametrize("name", [
+    "petersen", "heawood", "mobius-kantor", "cube", "racg-c4", "racg-c5", "raag-c4", "raag-c5",
+    "bb-c4", "bb-c5", "free-pair", "coset-pair",
+])
+def test_grown_presentations_equal_the_one_shot_presentation(name, monkeypatch):
+    """Each claim's presentation, grown across the lengths, equals the one
+    built from scratch from the loops shorter than its length, relators in
+    the same order, and so do its encoded relators and their variants."""
+    seen = []
+    original = spectrum_mod._statuses
+
+    def recorded(gens, inverse_pairs, loops, *args):
+        seen.append((gens, inverse_pairs, loops))
+        return original(gens, inverse_pairs, loops, *args)
+
+    monkeypatch.setattr(spectrum_mod, "_statuses", recorded)
+    if name in GRAPH_SPECTRA:
+        sp = spectrum_of_graph(GRAPH_SPECTRA[name][0], 10)
+    else:
+        oracle, gens, pairs, horizon = _grown_case(name)
+        sp = spectrum(oracle, gens, horizon, BUDGET, pairs)
+    (gens, pairs, loops), = seen
+    claimed = [s for s in sp.statuses if s.claims]
+    assert claimed or name == "free-pair"  # a free group has no loops
+    for s in claimed:
+        shorter = [w for w, c in loops if len(c) < s.length]
+        want = truncated_presentation(gens, shorter, s.length, pairs)
+        for claim in s.claims:
+            got = claim.presentation
+            assert got == want and got.relators == want.relators
+            assert got.core_relators() == want.core_relators()
+            assert list(got.relator_variants()) == list(want.relator_variants())
 
 
 # ---------------------------------------------------------------------------
