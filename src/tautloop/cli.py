@@ -175,7 +175,7 @@ def cmd_present(args) -> int:
         pres = build_RACG(_load_complex(args.complex).graph())
     else:
         from . import davis
-        ga, orbits = davis.instance_from_json(_load_json(args.instance))
+        ga, orbits = davis.instance_from_json(_load_json(args.instance), _parse_budget(args.budget))
         pres = davis.build_J(ga, orbits)
     if args.format == "gap":
         sys.stdout.write(pres.gap_export())
@@ -293,15 +293,16 @@ def cmd_kernel_search(args) -> int:
 
 def cmd_semiker(args) -> int:
     from . import davis
-    ga_s, orbits_s = davis.instance_from_json(_load_json(args.instance_s))
-    ga_t, orbits_t = davis.instance_from_json(_load_json(args.instance_t))
+    budget = _parse_budget(args.budget)
+    ga_s, orbits_s = davis.instance_from_json(_load_json(args.instance_s), budget)
+    ga_t, orbits_t = davis.instance_from_json(_load_json(args.instance_t), budget)
     quotient = Homomorphism.identity_on_generators(ga_s.group, ga_t.group)
     report = davis.semiker_experiment(
         (ga_s, orbits_s),
         (ga_t, orbits_t),
         quotient,
         args.maxlen,
-        _parse_budget(args.budget),
+        budget,
     )
     _emit(report.to_json(), args.out)
     return EXIT_OK if report.passed else EXIT_REFUTED
@@ -316,7 +317,7 @@ def cmd_verify_cert(args) -> int:
         if "statuses" in data:
             lengths = [(status["claims"], status) for status in data["statuses"]]
         else:
-            lengths = [(data if isinstance(data, list) else data["claims"], None)]
+            lengths = [(data["claims"], None)]
         for claims, status in lengths:
             verdicts = []
             for claim in claims:
@@ -335,7 +336,7 @@ def cmd_verify_cert(args) -> int:
                 failures += 1
                 sys.stderr.write(f"status of length {status.get('length')} contradicts its claims\n")
         taut = [s["length"] for _, s in lengths if s is not None and s["status"] == TAUT]
-        if isinstance(data, dict) and data.get("taut_lengths", taut) != taut:
+        if data.get("taut_lengths", taut) != taut:
             failures += 1
             sys.stderr.write("taut_lengths disagrees with the statuses\n")
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:

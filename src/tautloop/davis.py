@@ -39,15 +39,23 @@ def vertex_symbol(v: str) -> str:
 class GroupAction:
     """A finite group acting on a simple graph by vertex permutations.
 
-    The group must have a completed coset enumeration, kept on the action
-    per budget in a ``cayley.CosetTableOracle``; ``action`` maps each core
-    generator to a vertex permutation.
+    ``action`` maps each core generator to a vertex permutation, from which
+    each letter's move is built once.  The group must have a completed coset
+    enumeration, kept per budget beside the permutation of every element.
     """
 
     graph: SimpleGraph
     group: GroupPresentation
     action: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
-    _cosets: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # budget -> oracle
+    _moves: dict = field(default=None, init=False, compare=False, repr=False)  # letter -> move
+    _cosets: dict = field(default_factory=dict, init=False, compare=False, repr=False)  # budget -> (oracle, elements)
+
+    def __post_init__(self) -> None:
+        moves = {}
+        for g, perm in self.action:
+            moves[g, 1] = dict(perm)
+            moves[g, -1] = {v: u for u, v in perm}
+        object.__setattr__(self, "_moves", moves)
 
     @classmethod
     def build(
@@ -69,37 +77,34 @@ class GroupAction:
             packed.append((g, tuple(sorted(perm.items()))))
         return cls(graph, group, tuple(packed))
 
-    def generator_permutation(self, sym: str) -> dict[str, str]:
-        for g, perm in self.action:
-            if g == sym:
-                return dict(perm)
-        raise DavisError(f"unknown generator {sym!r}")
-
     def apply_word(self, w: Word, vertex: str) -> str:
         """Left action of the group element on a vertex; w acts last letter
         first, matching (gh).x = g.(h.x)."""
         out = vertex
-        for sym, exp in reversed(words.word(w)):
-            perm = self.generator_permutation(sym)
-            if exp == 1:
-                out = perm[out]
-            else:
-                out = {v: k for k, v in perm.items()}[out]
+        for letter in reversed(words.word(w)):
+            move = self._moves.get(letter)
+            if move is None:
+                raise DavisError(f"unknown generator {letter[0]!r}")
+            out = move[out]
         return out
 
-    def cosets(self, budget: Budget | None = None) -> CosetTableOracle:
+    def cosets(self, budget: Budget | None = None):
+        """The group's ``cayley.CosetTableOracle`` and its element
+        permutations, enumerated once per budget."""
         budget = budget or Budget()
         if budget not in self._cosets:
-            self._cosets[budget] = CosetTableOracle(self.group, budget)
+            oracle = CosetTableOracle(self.group, budget)
+            elements = []
+            for rep in oracle.table.element_words():
+                w = self.group.decode(rep)
+                elements.append((w, {v: self.apply_word(w, v) for v in self.graph.vertices}))
+            self._cosets[budget] = oracle, elements
         return self._cosets[budget]
 
     def element_permutations(self, budget: Budget | None = None):
-        """(representative word, vertex permutation) for every group element."""
-        out = []
-        for rep in self.cosets(budget).table.element_words():
-            w = self.group.decode(rep)
-            out.append((w, {v: self.apply_word(w, v) for v in self.graph.vertices}))
-        return out
+        """(representative word, vertex permutation) for every group element,
+        in coset order."""
+        return self.cosets(budget)[1]
 
     def to_json(self) -> dict:
         return {
@@ -149,8 +154,8 @@ def check_action(ga: GroupAction, budget: Budget | None = None) -> ActionReport:
                 relators_ok = False
                 violations.append(f"relator {words.format_word(r)} moves vertex {v}")
                 break
-    for g, _ in ga.action:
-        perm = ga.generator_permutation(g)
+    for g, perm in ga.action:
+        perm = dict(perm)
         for u, v in ga.graph.sorted_edges():
             if not ga.graph.has_edge(perm[u], perm[v]):
                 violations.append(f"generator {g} does not preserve edge ({u},{v})")
@@ -316,15 +321,13 @@ class SemidirectEngine:
     def __init__(self, ga: GroupAction, budget: Budget | None = None) -> None:
         self.ga = ga
         self.tits = TitsEngine(ga.graph.vertices, ga.graph.edges)
-        self.cosets = ga.cosets(budget)
+        self.cosets, elements = ga.cosets(budget)
         self.identity = ((), 0)
-        self._elt_words = [ga.group.decode(r) for r in self.cosets.table.element_words()]
+        self._elt_words = [w for w, _ in elements]
         index = self.tits.index
         self._vertex = {vertex_symbol(v): i for v, i in index.items()}
         # coset -> the letter of g.v at the letter of each vertex v
-        self._twist = [
-            tuple(index[ga.apply_word(g, v)] for v in self.tits.vertices) for g in self._elt_words
-        ]
+        self._twist = [tuple(index[perm[v]] for v in self.tits.vertices) for _, perm in elements]
 
     def normal_form(self, w: Word, start=((), 0)):
         x, g = start
@@ -444,7 +447,6 @@ def semiker_experiment(
     for s in ga_s.group.core_generators():
         moves.extend([(s, 1), (s, -1)])
     start = eng_s.identity
-    lengths = {start: 0}
     frontier = [start]
     checked = 0
     counterexamples: list[dict] = []
@@ -455,23 +457,19 @@ def semiker_experiment(
         for st in frontier:
             for mv in moves:
                 new = eng_s.normal_form((mv,), st)
-                if new in lengths:
+                if new in state_word:
                     continue
-                lengths[new] = depth
                 state_word[new] = state_word[st] + (mv,)
                 nxt.append(new)
         frontier = nxt
         for st in nxt:
-            if st == start or not project(st):
-                continue
-            l_j = depth
-            if l_j <= n:
+            if depth <= n or not project(st):
                 continue
             checked += 1
-            ok = min_g_kernel is not None and min_g_kernel <= l_j
+            ok = min_g_kernel is not None and min_g_kernel <= depth
             record = {
                 "word": words.to_json(state_word[st]),
-                "l_J": l_j,
+                "l_J": depth,
                 "g_length": min_g_kernel,
                 "ok": ok,
             }
@@ -493,9 +491,10 @@ def instance_to_json(ga: GroupAction, orbits: OrbitData) -> dict:
     return {"action": ga.to_json(), "orbits": orbits.to_json()}
 
 
-def instance_from_json(data: dict) -> tuple[GroupAction, OrbitData]:
-    """An instance from its JSON form, orbits chosen after reading when it has
-    none.  A missing key or a value of the wrong shape raises ``DavisError``."""
+def instance_from_json(data: dict, budget: Budget | None = None) -> tuple[GroupAction, OrbitData]:
+    """An instance from its JSON form, orbits chosen after reading, within the
+    budget, when it has none.  A missing key or a value of the wrong shape
+    raises ``DavisError``."""
     try:
         ga = GroupAction.from_json(data["action"])
         o = data.get("orbits")
@@ -506,4 +505,4 @@ def instance_from_json(data: dict) -> tuple[GroupAction, OrbitData]:
         )
     except (LookupError, TypeError, AttributeError) as exc:
         raise DavisError(f"malformed instance: {type(exc).__name__}: {exc}") from None
-    return ga, choose_orbits(ga) if orbits is None else orbits
+    return ga, choose_orbits(ga, budget) if orbits is None else orbits

@@ -241,11 +241,12 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
     loops, grown rather than rebuilt: the presentation of a length with
     loops extends that of the last such length by the canonical forms of
     the loops in between, each loop put in that form once.  A loop's word
-    is no longer than its cycle, so no form reaches the length."""
+    is no longer than its cycle, so no form reaches the length.  Each word is
+    filed once on the core alphabet, for the relators, claims and engine."""
+    pairing = words.pairing_map(inverse_pairs)
     filed: dict[int, list] = {}
     for w, c in loops:
-        filed.setdefault(len(c), []).append((w, c))
-    pairing = words.pairing_map(inverse_pairs)
+        filed.setdefault(len(c), []).append((words.normalize(w, pairing), c))
     pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
     # each letter's signed index, the same in every grown presentation
     codes = {(g, e): pres.encode(words.normalize(((g, e),), pairing))[0] for g in gens for e in (1, -1)}
@@ -256,8 +257,7 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
         if l not in filed:
             out.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
             continue
-        forms = (words.canonical_cyclic(words.normalize(w, pairing))
-                 for n in range(done, l) for w, _ in filed.get(n, ()))
+        forms = (words.canonical_cyclic(w) for n in range(done, l) for w, _ in filed.get(n, ()))
         new = [r for r in dict.fromkeys(forms) if r and r not in seen]
         seen.update(new)
         pres, done = pres.extended(new), l

@@ -375,10 +375,10 @@ class CosetEnumerationCertificate:
     """Outcome of a deterministic completed enumeration.
 
     Replay re-runs the enumeration under the recorded budget and checks that
-    the completed table matches the recorded hash, is internally consistent,
-    and sends the word to the recorded coset.  The enumerator itself is the
-    trusted kernel here; the fully independent Proved route is the
-    normal-closure derivation.
+    the completed table matches the recorded size and hash, is internally
+    consistent, and sends the word to coset 0, which must be the recorded
+    coset.  The enumerator itself is the trusted kernel here; the fully
+    independent Proved route is the normal-closure derivation.
     """
 
     budget: Budget
@@ -516,18 +516,6 @@ class BBImageHom:
 
     def witness(self, w: Word, image: Word) -> HomImageWitness:
         return HomImageWitness(self.kind, self.complex.to_json(), w, image)
-
-
-def _replay_hom_witness(pres: GroupPresentation, cert: HomImageWitness) -> bool:
-    from .complexes import FlagComplex
-
-    if cert.hom_kind != BBImageHom.kind:
-        return False
-    hom = BBImageHom(FlagComplex.from_json(cert.payload))
-    if not hom.check_compatible(pres):
-        return False
-    image = hom.image(cert.word)
-    return bool(image) and image == cert.image
 
 
 # ---------------------------------------------------------------------------
@@ -1019,10 +1007,9 @@ def kernel_shortest_element(
 # ---------------------------------------------------------------------------
 
 
-def _verify_quotient_witness(pres: GroupPresentation, cert: QuotientWitness) -> bool:
+def _verify_quotient_witness(pres: GroupPresentation, codes, cert: QuotientWitness) -> bool:
     images = dict(cert.images)
     core = pres.core_generators()
-    codes = reduce_ints(pres.encode(cert.word))
     # every length is checked before anything of the claimed degree is built
     if not codes or set(images) != set(core) or any(len(p) != cert.degree for p in images.values()):
         return False
@@ -1039,10 +1026,10 @@ def _verify_quotient_witness(pres: GroupPresentation, cert: QuotientWitness) -> 
     return _eval_perm_word(codes, perms, cert.degree) != identity
 
 
-def _verify_derivation(pres: GroupPresentation, cert: NormalClosureDerivation) -> bool:
-    state = reduce_ints(pres.encode(cert.word))
+def _verify_derivation(pres: GroupPresentation, codes, cert: NormalClosureDerivation) -> bool:
+    state = codes
     for pos, ins in cert.steps:
-        ins_codes = tuple(pres.encode(ins))
+        ins_codes = pres.encode(ins)
         if ins_codes not in pres.relator_variants():
             return False
         if pos < 0 or pos > len(state):
@@ -1067,7 +1054,9 @@ def _verify_table_consistency(pres: GroupPresentation, table: CosetTable) -> boo
     return True
 
 
-def _verify_enumeration(pres: GroupPresentation, cert: CosetEnumerationCertificate) -> bool:
+def _verify_enumeration(pres: GroupPresentation, codes, cert: CosetEnumerationCertificate) -> bool:
+    if cert.coset != 0:  # only the coset of the identity proves a word trivial
+        return False
     table = todd_coxeter(pres, (), cert.budget)
     if not isinstance(table, CosetTable) or not table.complete:
         return False
@@ -1075,34 +1064,44 @@ def _verify_enumeration(pres: GroupPresentation, cert: CosetEnumerationCertifica
         return False
     if not _verify_table_consistency(pres, table):
         return False
-    return table.trace(0, reduce_ints(pres.encode(cert.word))) == cert.coset
+    return table.trace(0, codes) == 0
+
+
+def _verify_hom_image(pres: GroupPresentation, codes, cert: HomImageWitness) -> bool:
+    from .complexes import FlagComplex
+
+    if cert.hom_kind != BBImageHom.kind:
+        return False
+    hom = BBImageHom(FlagComplex.from_json(cert.payload))
+    if not hom.check_compatible(pres):
+        return False
+    image = hom.image(pres.decode(codes))
+    return bool(image) and image == cert.image
+
+
+# certificate type -> the verdict it can support and its check of the encoded word
+_REPLAY = {
+    FreeReductionCertificate: (PROVED, lambda pres, codes, cert: not codes),
+    QuotientWitness: (REFUTED, _verify_quotient_witness),
+    NormalClosureDerivation: (PROVED, _verify_derivation),
+    CosetEnumerationCertificate: (PROVED, _verify_enumeration),
+    HomImageWitness: (REFUTED, _verify_hom_image),
+}
 
 
 def verify_certificate(pres: GroupPresentation, state: TriState) -> bool:
     """Replay a Proved/Refuted certificate; Unknown verifies vacuously.
 
-    A certificate whose words use a symbol outside the presentation fails.
+    The certificate's word is encoded over the presentation before any check,
+    so a symbol outside it, or outside a homomorphism's payload, fails replay.
     """
     cert = state.certificate
     if state.unknown:
         return cert is None
-    if cert is None:
+    verdict, check = _REPLAY.get(type(cert), (None, None))
+    if state.status != verdict:
         return False
     try:
-        return _replay(pres, state, cert)
-    except PresentationError:
+        return check(pres, pres.encode(cert.word), cert)
+    except (PresentationError, normal_forms.NormalFormError):
         return False
-
-
-def _replay(pres: GroupPresentation, state: TriState, cert) -> bool:
-    if isinstance(cert, FreeReductionCertificate):
-        return state.proved and not reduce_ints(pres.encode(cert.word))
-    if isinstance(cert, QuotientWitness):
-        return state.refuted and _verify_quotient_witness(pres, cert)
-    if isinstance(cert, NormalClosureDerivation):
-        return state.proved and _verify_derivation(pres, cert)
-    if isinstance(cert, CosetEnumerationCertificate):
-        return state.proved and _verify_enumeration(pres, cert)
-    if isinstance(cert, HomImageWitness):
-        return state.refuted and _replay_hom_witness(pres, cert)
-    return False

@@ -268,11 +268,11 @@ def test_verify_cert_binds_free_reduction_to_its_word(racg_c4_report, files, cap
     taut = _claim(report, 4)
     bare = {"status": "proved", "certificate": {"type": "free_reduction"}}
     forged = dict(taut, verdict=bare)
-    code, _ = run(["verify-cert", files["dump"]("bare.json", [forged])], capsys)
+    code, _ = run(["verify-cert", files["dump"]("bare.json", {"claims": [forged]})], capsys)
     assert code == 2
     worded = {"status": "proved", "certificate": {"type": "free_reduction", "word": taut["word"]}}
     forged = dict(taut, verdict=worded)
-    code, out = run(["verify-cert", files["dump"]("worded.json", [forged])], capsys)
+    code, out = run(["verify-cert", files["dump"]("worded.json", {"claims": [forged]})], capsys)
     assert code == 1 and json.loads(out)["failures"] == 1
     cancelling = [["0", 1], ["1", 1], ["1", -1], ["0", -1]]
     honest = dict(
@@ -280,7 +280,7 @@ def test_verify_cert_binds_free_reduction_to_its_word(racg_c4_report, files, cap
         word=cancelling,
         verdict={"status": "proved", "certificate": {"type": "free_reduction", "word": cancelling}},
     )
-    code, out = run(["verify-cert", files["dump"]("honest.json", [honest])], capsys)
+    code, out = run(["verify-cert", files["dump"]("honest.json", {"claims": [honest]})], capsys)
     assert code == 0 and json.loads(out)["failures"] == 0
 
 
@@ -290,7 +290,7 @@ def test_verify_cert_fails_a_certificate_outside_its_presentation(racg_c4_report
     foreign = [["zz", 1]]
     witness = dict(taut["verdict"]["certificate"], word=foreign)
     forged = dict(taut, word=foreign, verdict={"status": "refuted", "certificate": witness})
-    code, out = run(["verify-cert", files["dump"]("foreign.json", [forged])], capsys)
+    code, out = run(["verify-cert", files["dump"]("foreign.json", {"claims": [forged]})], capsys)
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
@@ -299,7 +299,7 @@ def test_verify_cert_fails_a_quotient_witness_with_a_forged_degree(racg_c4_repor
     taut = _claim(report, 4)
     witness = dict(taut["verdict"]["certificate"], degree=10**20)
     forged = dict(taut, verdict={"status": "refuted", "certificate": witness})
-    code, out = run(["verify-cert", files["dump"]("degree.json", [forged])], capsys)
+    code, out = run(["verify-cert", files["dump"]("degree.json", {"claims": [forged]})], capsys)
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
@@ -311,7 +311,7 @@ def test_verify_cert_fails_cancelling_symbols_outside_its_presentation(racg_c4_r
         word=cancelling,
         verdict={"status": "proved", "certificate": {"type": "free_reduction", "word": cancelling}},
     )
-    code, out = run(["verify-cert", files["dump"]("cancelling.json", [forged])], capsys)
+    code, out = run(["verify-cert", files["dump"]("cancelling.json", {"claims": [forged]})], capsys)
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
@@ -501,6 +501,16 @@ def _collapsing_instance(files):
     return _rotation_instance(files, [[["g", 1]] * 4], {"g": {"0": "0", "1": "0", "2": "0", "3": "0"}})
 
 
+def _cycle_rotation_instance(files, n=12, order=3, name="c12_z3.json"):
+    """Z/order rotating the n-cycle by 4, saved without orbits; C12 with Z/3
+    unless told otherwise."""
+    vs = [str(i) for i in range(n)]
+    return files["dump"](name, {"action": {
+        "graph": {"vertices": vs, "edges": [[vs[i], vs[(i + 1) % n]] for i in range(n)]},
+        "group": {"generators": ["g"], "relators": [[["g", 1]] * order]},
+        "action": {"g": {v: vs[(i + 4) % n] for i, v in enumerate(vs)}},
+    }})
+
 # case -> (argv from the files fixture, exit code)
 BAD_INPUT = {
     "racg-without-complex": (lambda f: ["ball", "--oracle", "racg", "--radius", "2"], 2),
@@ -519,6 +529,9 @@ BAD_INPUT = {
     "semiker-infinite-group": (
         lambda f: ["semiker", "--instance-s", _rotation_instance(f, []), "--instance-t", _rotation_instance(f, [])], 3),
     "present-j-infinite-group": (lambda f: ["present", "j", "--instance", _rotation_instance(f, [])], 3),
+    # Z/3 cannot be enumerated with one coset, and its orbits are chosen within the budget
+    "present-j-budget-too-small": (
+        lambda f: ["present", "j", "--instance", _cycle_rotation_instance(f), "--budget", "cosets:1"], 3),
     # JSON of the wrong shape: a graph without edges, an instance without an action
     "spectrum-graph-without-edges": (
         lambda f: ["spectrum", "--graph", f["dump"]("g.json", {"vertices": ["0", "1"]}), "--horizon", "4"], 2),
@@ -536,3 +549,42 @@ def test_bad_input_exits_with_one_line(files, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
+
+
+def test_semiker_enumerates_each_group_once_within_the_budget(files, capsys, monkeypatch):
+    from tautloop.word_engine import CosetTable
+
+    built = []
+    original = CosetTable.__init__
+
+    def counted(self, n_core):
+        built.append(n_core)
+        original(self, n_core)
+
+    monkeypatch.setattr(CosetTable, "__init__", counted)
+    instance = _cycle_rotation_instance(files)
+    argv = ["semiker", "--instance-s", instance, "--instance-t", instance, "--maxlen", "3"]
+    code, _ = run(argv + ["--budget", "cosets:100"], capsys)
+    assert code == 0 and len(built) == 2
+
+
+def test_semiker_writes_the_experiment_report(files, capsys):
+    from tautloop.davis import GroupAction, choose_orbits, semiker_experiment
+    from tautloop.presentations import Homomorphism
+
+    # Z/6 rotating C24 onto Z/3 rotating C12: criterion 10's pair
+    path_s = _cycle_rotation_instance(files, 24, 6, "s.json")
+    path_t = _cycle_rotation_instance(files, 12, 3, "t.json")
+    out = str(files["dir"] / "semiker.json")
+    argv = ["semiker", "--instance-s", path_s, "--instance-t", path_t, "--maxlen", "6", "--out", out]
+    assert run(argv, capsys)[0] == 0
+    ga_s, ga_t = (GroupAction.from_json(_load(path)["action"]) for path in (path_s, path_t))
+    quotient = Homomorphism.identity_on_generators(ga_s.group, ga_t.group)
+    want = semiker_experiment((ga_s, choose_orbits(ga_s)), (ga_t, choose_orbits(ga_t)), quotient, 6)
+    assert _load(out) == want.to_json()
+    assert want.passed and want.kernel_words_checked == 5
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)

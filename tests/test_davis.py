@@ -63,6 +63,13 @@ def test_fixed_point_breaks_freeness():
     assert any("fixed vertex" in v for v in report.violations)
 
 
+def test_relators_are_checked():
+    # rotation by 3 has order 4 on C12, so g^3 moves every vertex
+    report = check_action(GroupAction.build(cycle_graph(12), zn_pres(3), rotation(12, 3)))
+    assert not report.relators_ok and not report.valid
+    assert any("moves vertex" in v for v in report.violations)
+
+
 def test_edge_preservation_is_checked():
     g = SimpleGraph.build("abcd", [("a", "b"), ("c", "d")])
     perm = {"g": {"a": "a", "b": "c", "c": "b", "d": "d"}}

@@ -388,6 +388,35 @@ def test_unknown_length_keeps_its_claims():
 
 
 # ---------------------------------------------------------------------------
+# loop words on the core alphabet of formal-inverse pairs
+# ---------------------------------------------------------------------------
+
+
+def _s3_with_a_pair(gens):
+    """S3 = <A, b | A^3, b^2, (Ab)^2> with a = A^-1, to horizon 6, over gens."""
+    oracle, _, pairs, horizon = _grown_case("coset-pair")
+    return spectrum(oracle, gens, horizon, inverse_pairs=pairs)
+
+
+@pytest.mark.parametrize("gens", [["A", "a", "b"], ["a", "A", "b"]])
+def test_spectrum_over_a_pair_in_either_order_replays(gens):
+    # the dropped member a first in gens: the loop words use a, which the
+    # core alphabet of the truncated presentations does not have
+    sp = _s3_with_a_pair(gens)
+    assert sp.lengths() == (3, 4)
+    claims = [c for s in sp.statuses for c in s.claims]
+    assert len(claims) == 11
+    assert all(verify_certificate(c.presentation, c.state) for c in claims)
+
+
+def test_spectrum_over_a_pair_with_the_kept_member_first_keeps_its_bytes():
+    text = _s3_with_a_pair(["A", "a", "b"]).dumps()
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "38120fc88a025a585d7c009c5d040e049ba3429aad31587c32f5f083929d7b0c"
+    )
+
+
+# ---------------------------------------------------------------------------
 # the grown presentations, against the one-shot truncated presentation
 # ---------------------------------------------------------------------------
 
@@ -400,6 +429,9 @@ def _grown_case(name):
         a, b = ("A", 1), ("b", 1)
         pres = GroupPresentation.build(["A", "a", "b"], [(a, a, a), (b, b), (a, b) * 2], [("A", "a")])
         return CosetTableOracle(pres), ["A", "a", "b"], (("A", "a"),), 6
+    if name == "coset-pair-dropped-first":  # the same, with the dropped member a first
+        oracle, _, pairs, horizon = _grown_case("coset-pair")
+        return oracle, ["a", "A", "b"], pairs, horizon
     kind, n = name.split("-c")
     g = cycle_graph(int(n))
     if kind == "racg":
@@ -411,7 +443,7 @@ def _grown_case(name):
 
 @pytest.mark.parametrize("name", [
     "petersen", "heawood", "mobius-kantor", "cube", "racg-c4", "racg-c5", "raag-c4", "raag-c5",
-    "bb-c4", "bb-c5", "free-pair", "coset-pair",
+    "bb-c4", "bb-c5", "free-pair", "coset-pair", "coset-pair-dropped-first",
 ])
 def test_grown_presentations_equal_the_one_shot_presentation(name, monkeypatch):
     """Each claim's presentation, grown across the lengths, equals the one

@@ -499,3 +499,83 @@ def test_certificate_fuzz_replay():
             if not state.unknown:
                 checked += 1
     assert checked >= 1000
+
+
+# ---------------------------------------------------------------------------
+# replay accepts only what a certificate proves
+# ---------------------------------------------------------------------------
+
+# S3 with a of order 3: a is nontrivial, and the coset table of the trivial
+# subgroup sends it to coset 1
+S3_ORDER_3 = pres("ab", "a a a", "b b", "a b a b")
+
+
+def _s3_enumeration(word_, coset=0, n_cosets=None, table_hash=None, budget=BUDGET):
+    table = todd_coxeter(S3_ORDER_3, (), BUDGET)
+    assert len(table.rows) == 6
+    cert = word_engine.CosetEnumerationCertificate(
+        budget,
+        len(table.rows) if n_cosets is None else n_cosets,
+        table.content_hash() if table_hash is None else table_hash,
+        word_,
+        coset,
+    )
+    return TriState("proved", cert)
+
+
+def test_coset_enumeration_replay_accepts_only_coset_zero():
+    assert verify_certificate(S3_ORDER_3, _s3_enumeration(w("a a a")))
+    # the true table sends a to coset 1; naming that coset proves nothing
+    table = todd_coxeter(S3_ORDER_3, (), BUDGET)
+    assert table.trace(0, S3_ORDER_3.encode(w("a"))) == 1
+    assert verify_certificate(S3_ORDER_3, _s3_enumeration(w("a"), coset=1)) is False
+
+
+@pytest.mark.parametrize("forged", [
+    {"n_cosets": 5},
+    {"table_hash": "0" * 64},
+    {"budget": Budget(max_cosets=3, max_deductions=20_000, max_search_depth=3)},
+], ids=["n_cosets", "table_hash", "budget_too_small"])
+def test_coset_enumeration_replay_fails_a_forged_table(forged):
+    assert verify_certificate(S3_ORDER_3, _s3_enumeration(w("a a a"), **forged)) is False
+
+
+def _p_c4():
+    c4 = flag_completion(
+        SimpleGraph.build("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])
+    )
+    return c4, build_P(c4, OmegaSet((EdgeLoop(("0", "1", "2", "3")),)), {0})
+
+
+def test_hom_image_witness_over_a_foreign_symbol_fails_replay():
+    # the payload is C4 with a vertex 4 and an edge 0-4, so e:0:4 has a
+    # nontrivial image there; P(C4) has no generator e:0:4
+    c4, p0 = _p_c4()
+    payload = c4.to_json()
+    payload = {"vertices": payload["vertices"] + ["4"], "edges": payload["edges"] + [["0", "4"]]}
+    witness = word_engine.HomImageWitness("bb", payload, w("e:0:4"), w("0 4-"))
+    assert verify_certificate(p0, TriState("refuted", witness)) is False
+
+
+def test_hom_image_witness_over_a_symbol_unknown_to_the_payload_fails_replay():
+    c4, p0 = _p_c4()
+    witness = word_engine.HomImageWitness("bb", c4.to_json(), w("zz"), w("0"))
+    assert verify_certificate(p0, TriState("refuted", witness)) is False
+
+
+def test_group_is_trivial_falls_back_to_the_abelianization():
+    # no symmetric group of degree at most 4 has an element of order 5
+    state = group_is_trivial(Z5, BUDGET)
+    assert state.refuted
+    assert state.certificate == QuotientWitness(5, (("a", (1, 2, 3, 4, 0)),), w("a"))
+    assert verify_certificate(Z5, state)
+
+
+def test_group_is_trivial_falls_back_to_the_regular_representation():
+    # A5 is simple and perfect: no nontrivial map into S4 and a trivial
+    # abelianization, so only its regular representation separates a
+    a5 = pres("ab", "a a", "b b b", "a b a b a b a b a b")
+    state = group_is_trivial(a5, BUDGET)
+    assert state.refuted
+    assert state.certificate.degree == 60 and state.certificate.word == w("a")
+    assert verify_certificate(a5, state)
