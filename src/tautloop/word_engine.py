@@ -183,10 +183,11 @@ def todd_coxeter(
     """
     if budget is None:
         budget = Budget()
-    core = pres.core_generators()
-    relators = [r for r in pres.core_relators()]
-    sub = [pres.encode(w) for w in subgroup_gens]
-    t = CosetTable(len(core))
+    # each word as its letters' columns, encoded once; an inverse letter's
+    # column is its letter's column ^ 1
+    relators = [[CosetTable.col(c) for c in r] for r in pres.core_relators()]
+    sub = [[CosetTable.col(c) for c in pres.encode(w)] for w in subgroup_gens]
+    t = CosetTable(len(pres.core_generators()))
 
     def define(c: int, colx: int) -> int | None:
         t.definitions += 1
@@ -235,13 +236,13 @@ def todd_coxeter(
                         t.rows[nu][CosetTable.inv_col(colx)] = mu
                         t.fills += 2
 
-    def scan_and_fill(start: int, w: Sequence[int]) -> bool:
+    def scan_and_fill(start: int, cols: list[int]) -> bool:
         """Returns False on budget exhaustion."""
-        i, j = 0, len(w) - 1
+        i, j = 0, len(cols) - 1
         f = b = t.rep(start)
         while True:
             while i <= j:
-                nxt = t.rows[f][CosetTable.col(w[i])]
+                nxt = t.rows[f][cols[i]]
                 if nxt is None:
                     break
                 f = t.rep(nxt)
@@ -251,7 +252,7 @@ def todd_coxeter(
                     coincidence(f, b)
                 return True
             while j >= i:
-                prv = t.rows[b][CosetTable.col(-w[j])]
+                prv = t.rows[b][cols[j] ^ 1]
                 if prv is None:
                     break
                 b = t.rep(prv)
@@ -260,13 +261,13 @@ def todd_coxeter(
                 coincidence(f, b)
                 return True
             if i == j:
-                t.rows[f][CosetTable.col(w[i])] = b
-                t.rows[b][CosetTable.col(-w[i])] = f
+                t.rows[f][cols[i]] = b
+                t.rows[b][cols[i] ^ 1] = f
                 t.fills += 2
                 if t.fills > budget.max_deductions:
                     return False
                 return True
-            n = define(f, CosetTable.col(w[i]))
+            n = define(f, cols[i])
             if n is None:
                 return False
             if t.fills > budget.max_deductions:
@@ -502,8 +503,9 @@ class BBImageHom:
     kind = "bb"
 
     def __init__(self, complex_) -> None:
-        self.complex = complex_
         self.map = normal_forms.BBMap(complex_)
+        # every witness carries the complex, serialised once here
+        self.payload = complex_.to_json()
 
     def check_compatible(self, pres: GroupPresentation) -> bool:
         try:
@@ -515,7 +517,7 @@ class BBImageHom:
         return self.map.image(w)
 
     def witness(self, w: Word, image: Word) -> HomImageWitness:
-        return HomImageWitness(self.kind, self.complex.to_json(), w, image)
+        return HomImageWitness(self.kind, self.payload, w, image)
 
 
 # ---------------------------------------------------------------------------
@@ -896,49 +898,44 @@ class KernelSearchResult:
         }
 
 
-def _letters_to_kill(data, rows, depth: int):
-    """A function from coordinates to the fewest letters, with abelian images
-    ``rows``, whose sum kills them, or ``depth + 1`` past ``depth``.  Images
-    take torsion coordinates mod their Smith factor and keep free ones whole.
-    The table is a breadth-first search from 0 over ``rows``, which is closed
-    under inverses: the inverses of the letters reaching an image kill it."""
+def _dying_words(rows, data):
+    """A function from a length to the freely reduced words of that length
+    over the letters of ``rows`` (letter code -> coordinates, in alphabet
+    order), lexicographic, whose rows sum to coordinates that die in the
+    abelianization ``data``.  It meets in the middle: a word is a prefix of
+    half its length, rounded up, and a suffix.  The half-words of a length
+    are built once, in order, with reduced coordinates (torsion ones mod
+    their Smith factor, free ones whole); the suffixes are filed once under
+    their reduced negative sum, and a prefix meets its own by one lookup.
+    Lexicographic order is (prefix, suffix) order."""
     core, diag, _ = data
     mods = tuple(diag) + (0,) * len(core)
 
     def image(coords):
         return tuple(x % m if m else x for x, m in zip(coords, mods))
 
-    steps = {image((0,) * len(core)): 0}
-    frontier = set(steps)
-    for d in range(1, depth + 1):
-        frontier = {image(map(add, g, row)) for g in frontier for row in rows.values()}
-        frontier.difference_update(steps)
-        steps.update(dict.fromkeys(frontier, d))
-    return lambda coords: steps.get(image(coords), depth + 1)
+    alphabet = [(c, image(row)) for c, row in rows.items()]
+    halves = [[((), (0,) * len(core))]]
+    filed: dict[int, dict] = {}
 
+    def half(h: int) -> list:
+        while len(halves) <= h:
+            halves.append([(word + (c,), image(map(add, coords, row))) for word, coords in halves[-1]
+                           for c, row in alphabet if not word or word[-1] != -c])
+        return halves[h]
 
-def _reduced_words_of_length(n_core: int, length: int, rows, needs):
-    """Freely reduced signed-index words, lexicographic within each length,
-    whose letters' ``rows`` (letter code -> tuple) sum to coordinates that
-    die.  A prefix of p letters with r < p left is cut when ``needs`` of its
-    sum exceeds r; one with r >= p is not looked up, as its own inverse
-    kills it in p letters."""
-    alphabet = [(c, rows[c]) for i in range(1, n_core + 1) for c in (i, -i)]
+    def of_length(length: int):
+        h = length // 2
+        if h not in filed:
+            filed[h] = {}
+            for word, coords in half(h):
+                filed[h].setdefault(image(-x for x in coords), []).append(word)
+        for prefix, coords in half(length - h):
+            for suffix in filed[h].get(coords, ()):
+                if not suffix or suffix[0] != -prefix[-1]:
+                    yield prefix + suffix
 
-    def extend(prefix: tuple[int, ...], coords: tuple[int, ...], remaining: int):
-        back = -prefix[-1] if prefix else 0
-        for c, row in alphabet:
-            if c != back:
-                word, total = prefix + (c,), tuple(map(add, coords, row))
-                left = remaining - 1
-                if left < len(word) and needs(total) > left:
-                    continue
-                if left:
-                    yield from extend(word, total, left)
-                else:
-                    yield word
-
-    yield from extend((), (0,) * len(rows[1]) if n_core else (), length)
+    return of_length
 
 
 def kernel_shortest_element(
@@ -953,11 +950,13 @@ def kernel_shortest_element(
     """Shortest word trivial in the target but not in the source, under the
     identity on generators, the one ``quotient`` accepted.
 
-    Breadth-first over freely reduced words, summed one letter at a time in
-    the target's abelianization: a prefix is cut once the letters left cannot
-    kill its sum, so only words that die there are built, decoded and handed
-    to the engines.  The result is certified minimal only when every shorter
-    word resolved conclusively, otherwise it is flagged minimal-up-to-Unknowns.
+    Breadth-first over freely reduced words, met in the middle in the
+    target's abelianization: each prefix of half the length is joined by one
+    lookup to the suffixes whose sums kill its own, so only words that die
+    there are built, decoded and handed to the engines.  The half-word lists
+    hold at most 2n(2n-1)^(ceil(radius/2)-1) words each, for n core
+    generators.  The result is certified minimal only when every shorter word
+    resolved conclusively, otherwise it is flagged minimal-up-to-Unknowns.
     """
     if set(pres_s.generators) != set(pres_t.generators):
         raise ValueError("kernel search needs identical generating symbols")
@@ -966,18 +965,17 @@ def kernel_shortest_element(
     budget = budget or Budget()
     eng_s = WordProblemEngine(pres_s, budget, homs_s)
     eng_t = WordProblemEngine(pres_t, budget, homs_t)
-    n_core = len(pres_s.core_generators())
     abelian_t = eng_t._abelian
-    letters = [c for i in range(1, n_core + 1) for c in (i, -i)]
+    letters = [c for i, _ in enumerate(pres_s.core_generators(), 1) for c in (i, -i)]
     rows = {c: _abelian_coords(abelian_t, pres_t.encode(pres_s.decode((c,)))) for c in letters}
-    needs = _letters_to_kill(abelian_t, rows, (radius - 1) // 2)
+    words_of_length = _dying_words(rows, abelian_t)
     unknown_count = 0
     certified_lower_bound = 0
     for length in range(1, radius + 1):
         # only the words that die in the target's abelianization: its engine
         # refutes every other word there, and the one route before, free
         # reduction, proves only words whose coordinates are 0
-        for codes in _reduced_words_of_length(n_core, length, rows, needs):
+        for codes in words_of_length(length):
             w = pres_s.decode(codes)
             in_t = eng_t.is_trivial(w)
             in_s = eng_s.is_trivial(w) if in_t.proved else None

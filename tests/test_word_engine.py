@@ -31,8 +31,7 @@ from tautloop.word_engine import (
     _abelian_data,
     _abelian_obstruction,
     _abelian_quotient,
-    _letters_to_kill,
-    _reduced_words_of_length,
+    _dying_words,
     abelian_witness,
     certificate_from_json,
     finite_quotient_search,
@@ -297,6 +296,31 @@ def _c4_kernel_case(s_set, t_set, radius, with_hom=True):
     return build_P(cx, C4_OMEGA, s_set), build_P(cx, C4_OMEGA, t_set), radius, homs
 
 
+def _random_kernel_pair(rng):
+    """A source with no relators and a target over the same symbols: 0-3 core
+    generators in the source, each with a power relator of order 1-4 in the
+    target or none (a free coordinate), sometimes a relator that mixes them,
+    and sometimes a formal-inverse pair in the target only."""
+    n = rng.randint(0, 3)
+    gens = list("abc"[:n])
+    symbols, pairs = gens[:], []
+    if 1 <= n <= 2 and rng.random() < 0.5:
+        symbols.append("A")
+        pairs = [("a", "A")]
+    relators = [" ".join([g] * order) for g in gens if (order := rng.choice((None, 1, 2, 3, 4)))]
+    if n and rng.random() < 0.5:
+        letters = [rng.choice(symbols) + rng.choice(("", "-")) for _ in range(rng.randint(2, 4))]
+        relators.append(" ".join(letters))
+    target_order = symbols[:]
+    rng.shuffle(target_order)
+    return pres(symbols), pres(target_order, *relators, pairs=pairs)
+
+
+# seeded random pairs, the inputs of the property tests below
+RANDOM_PAIRS = [_random_kernel_pair(random.Random(seed)) for seed in range(20)]
+RANDOM_IDS = [f"random-{seed}" for seed in range(20)]
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -309,8 +333,12 @@ def _c4_kernel_case(s_set, t_set, radius, with_hom=True):
         (pres("ab"), pres("ba", "a a a"), 4, ()),
         # the target pairs a with A as formal inverses; the source does not
         (pres("aAb"), pres("bAa", "a b a b-", pairs=[("a", "A")]), 4, ()),
+        *[(p_s, p_t, radius, ()) for p_s, p_t in RANDOM_PAIRS for radius in (0, 1)],
     ],
-    ids=["c4-0-02-r4", "c4-0-02-r4-nohom", "c4-0-01", "c4-02-012", "c4-0-012", "order", "pairs"],
+    ids=[
+        "c4-0-02-r4", "c4-0-02-r4-nohom", "c4-0-01", "c4-02-012", "c4-0-012", "order", "pairs",
+        *[f"{name}-r{radius}" for name in RANDOM_IDS for radius in (0, 1)],
+    ],
 )
 def test_kernel_search_matches_the_per_word_reference(case):
     p_s, p_t, radius, homs = case
@@ -364,8 +392,9 @@ def test_abelian_obstruction_agrees_with_the_engine_route():
         (pres("ab"), pres("ba")),
         (pres("aAb"), pres("bAa", "a b a b-", pairs=[("a", "A")])),
         (pres(""), pres("")),
+        *RANDOM_PAIRS,
     ],
-    ids=["c4-0-02", "a-cubed", "no-relators", "pairs", "no-core"],
+    ids=["c4-0-02", "a-cubed", "no-relators", "pairs", "no-core", *RANDOM_IDS],
 )
 def test_pruned_words_are_the_reference_survivors_in_order(p_s, p_t):
     """The cut drops only words whose sum the target's abelianization does
@@ -377,15 +406,14 @@ def test_pruned_words_are_the_reference_survivors_in_order(p_s, p_t):
         for i in range(1, n_core + 1)
         for c in (i, -i)
     }
-    radius = 6
-    needs = _letters_to_kill(data, rows, (radius - 1) // 2)
-    for length in range(1, radius + 1):
+    words_of_length = _dying_words(rows, data)
+    for length in range(1, 7):
         want = [
             codes
             for codes, coords in per_word_kernel_search.reduced_words_with_sums(n_core, length, rows)
             if _abelian_obstruction(data, coords) is None
         ]
-        assert list(_reduced_words_of_length(n_core, length, rows, needs)) == want
+        assert list(words_of_length(length)) == want
 
 
 def test_kernel_c4_to_radius_seven_is_frozen():
@@ -404,6 +432,22 @@ def test_kernel_c4_to_radius_seven_is_frozen():
         "minimal_up_to_unknowns": False,
         "unknown_count": 0,
     }
+
+
+def test_kernel_c4_at_radius_eight_finds_a_certified_length_eight_word():
+    """Radius 7 is frozen above as not found, so a kernel word at radius 8
+    has length 8; replay checks that the target proves it and the source
+    refutes it."""
+    p_s, p_t, radius, homs = _c4_kernel_case({0}, {0, 2}, 8)
+    quotient = Homomorphism.identity_on_generators(p_s, p_t)
+    result = kernel_shortest_element(
+        p_s, p_t, quotient, radius, KERNEL_BUDGET, homs_s=homs, homs_t=homs
+    )
+    assert result.found and result.length == len(result.word) == 8
+    assert result.certified_lower_bound == 8
+    assert result.target_certificate.word == result.source_certificate.word == result.word
+    assert verify_certificate(p_t, TriState("proved", result.target_certificate))
+    assert verify_certificate(p_s, TriState("refuted", result.source_certificate))
 
 
 def test_bb_image_hom_registration():
