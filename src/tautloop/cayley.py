@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import normal_forms, words
+from .complexes import bfs
 from .presentations import PresentationError
 from .words import Word
 
@@ -246,28 +247,6 @@ class LoopEnumeration:
     words: tuple[Word, ...]
     vertex_cycles: tuple[tuple[int, ...], ...]
     conclusive: bool
-
-
-def bfs(nbrs, root, depth: int | None = None) -> dict:
-    """Breadth-first search of a graph given by its neighbour map, to the
-    given depth (the root's whole component when None).
-
-    Returns vertex -> (distance, parent, word read from parent to vertex),
-    in the order the vertices are reached; the root maps to (0, None, ()).
-    """
-    found = {root: (0, None, ())}
-    frontier = [root]
-    dist = 0
-    while frontier and (depth is None or dist < depth):
-        dist += 1
-        nxt = []
-        for u in frontier:
-            for v, letter in nbrs[u]:
-                if v not in found:
-                    found[v] = (dist, u, letter)
-                    nxt.append(v)
-        frontier = nxt
-    return found
 
 
 def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:

@@ -246,7 +246,7 @@ def cmd_schedule(args) -> int:
         if args.d is None or args.beta is None:
             _usage_error("need either --complex/--omega or --d/--beta")
         d, beta = args.d, args.beta
-    c = args.C if args.C else sched_mod.choose_C(d, beta)
+    c = args.C if args.C is not None else sched_mod.choose_C(d, beta)
     for n in _parse_ints(args.f) + _parse_ints(args.fprime):
         if n > 20:
             _usage_error("schedule indices above 20 are rejected")

@@ -39,6 +39,28 @@ def _check_simple(vertices: Sequence[str], edges: Iterable[tuple[str, str]]) -> 
     return frozenset(out)
 
 
+def bfs(nbrs, root, depth: int | None = None) -> dict:
+    """Breadth-first search of a graph given by its neighbour map, to the
+    given depth (the root's whole component when None).
+
+    Returns vertex -> (distance, parent, word read from parent to vertex),
+    in the order the vertices are reached; the root maps to (0, None, ()).
+    """
+    found = {root: (0, None, ())}
+    frontier = [root]
+    dist = 0
+    while frontier and (depth is None or dist < depth):
+        dist += 1
+        nxt = []
+        for u in frontier:
+            for v, letter in nbrs[u]:
+                if v not in found:
+                    found[v] = (dist, u, letter)
+                    nxt.append(v)
+        frontier = nxt
+    return found
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """Finite simple graph with totally ordered vertices."""
@@ -127,15 +149,9 @@ class FlagComplex:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            u = stack.pop()
-            for v in self.vertices:
-                if v not in seen and self.has_edge(u, v):
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == len(self.vertices)
+        graph = self.graph()
+        nbrs = {u: [(v, ()) for v in graph.neighbors(u)] for u in self.vertices}
+        return len(bfs(nbrs, self.vertices[0])) == len(self.vertices)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices())

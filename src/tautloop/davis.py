@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from . import words
-from .cayley import CosetTableOracle, bfs
-from .complexes import SimpleGraph
+from .cayley import CosetTableOracle
+from .complexes import SimpleGraph, bfs
 from .normal_forms import TitsEngine
 from .presentations import GroupPresentation
 from .word_engine import Budget

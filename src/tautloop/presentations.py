@@ -44,9 +44,12 @@ class GroupPresentation:
             raise PresentationError("duplicate generators")
         gen_set = set(gens)
         pairs = tuple(sorted(tuple(sorted(p)) for p in inverse_pairs))
-        for a, b in pairs:
-            if a not in gen_set or b not in gen_set:
-                raise PresentationError(f"involution pair ({a!r},{b!r}) outside generators")
+        try:
+            pairing = words.pairing_map(pairs)
+        except ValueError as exc:
+            raise PresentationError(str(exc)) from None
+        if not gen_set.issuperset(pairing):
+            raise PresentationError(f"inverse pairs outside generators: {sorted(set(pairing) - gen_set)}")
         seen: set[Word] = set()
         kept: list[Word] = []
         for r in relators:
@@ -63,12 +66,13 @@ class GroupPresentation:
 
     # -- core view -----------------------------------------------------
 
-    def _core_table(self) -> tuple[tuple[str, ...], dict[str, int]]:
+    def _core_table(self) -> tuple[tuple[str, ...], dict[str, int], dict[str, str]]:
+        """Core generators, their 1-based indices and the pairing map."""
         if self._core is None:
             pairing = words.pairing_map(self.inverse_pairs)
-            core = tuple(g for g in self.generators if pairing.get(g, g) >= g)
+            core = tuple(g for g in self.generators if words.is_core(g, pairing))
             index = {g: i + 1 for i, g in enumerate(core)}
-            object.__setattr__(self, "_core", (core, index))
+            object.__setattr__(self, "_core", (core, index, pairing))
         return self._core
 
     def core_generators(self) -> tuple[str, ...]:
@@ -76,15 +80,15 @@ class GroupPresentation:
         return self._core_table()[0]
 
     def normalize_word(self, w: Word) -> Word:
-        return words.free_reduce(words.normalize(w, words.pairing_map(self.inverse_pairs)))
+        return words.free_reduce(words.normalize(w, self._core_table()[2]))
 
     def encode(self, w: Word) -> tuple[int, ...]:
         """Signed-index encoding of the freely reduced word over the core
         alphabet (1-based).  Every symbol is checked before reduction, so a
         foreign symbol raises even where it would cancel."""
-        index = self._core_table()[1]
+        _, index, pairing = self._core_table()
         out = []
-        for sym, exp in words.normalize(w, words.pairing_map(self.inverse_pairs)):
+        for sym, exp in words.normalize(w, pairing):
             if sym not in index:
                 raise PresentationError(f"unknown generator {sym!r}")
             out.append(exp * index[sym])
@@ -338,5 +342,5 @@ def truncated_presentation(
     canonical = (words.canonical_cyclic(words.normalize(words.word(w), pairing)) for w in trivial_words)
     # canonical forms live on the core alphabet; restrict generators to it.
     # ``build`` drops empty and repeated relators by their canonical form
-    core = [g for g in generators if pairing.get(g, g) >= g]
+    core = [g for g in generators if words.is_core(g, pairing)]
     return GroupPresentation.build(core, [w for w in canonical if len(w) < length_bound])

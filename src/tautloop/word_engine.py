@@ -81,55 +81,34 @@ class BudgetExceeded:
 
 
 class CosetTable:
-    """Completed (or partial) coset table over the core alphabet.
+    """A completed coset table over the core alphabet.
 
-    Columns alternate generator / inverse per core generator.  After
-    completion the table is compacted: cosets are renumbered 0..n-1 in
-    discovery order, which makes enumeration output deterministic.
+    Columns alternate generator / inverse per core generator, so a letter's
+    inverse is in column ``col(code) ^ 1``.  Cosets are numbered 0..n-1 in
+    discovery order, which makes enumeration output deterministic, and every
+    entry is filled.  ``definitions`` and ``fills`` are what the enumeration
+    that built it spent.
     """
 
-    def __init__(self, n_core: int) -> None:
+    complete = True
+
+    def __init__(self, n_core: int, rows: list[list[int]], definitions: int, fills: int) -> None:
         self.n_core = n_core
         self.ncols = 2 * n_core
-        self.rows: list[list[int | None]] = [[None] * self.ncols]
-        self.parent = [0]
-        self.complete = False
-        self.definitions = 0
-        self.fills = 0
+        self.rows = rows
+        self.definitions = definitions
+        self.fills = fills
 
     @staticmethod
     def col(code: int) -> int:
         return 2 * (abs(code) - 1) + (0 if code > 0 else 1)
 
-    @staticmethod
-    def inv_col(colx: int) -> int:
-        return colx ^ 1
-
-    def rep(self, c: int) -> int:
-        while self.parent[c] != c:
-            self.parent[c] = self.parent[self.parent[c]]
-            c = self.parent[c]
-        return c
-
-    def alive(self) -> list[int]:
-        return [c for c in range(len(self.rows)) if self.parent[c] == c]
-
-    def trace(self, start: int, codes: Sequence[int]) -> int | None:
+    def trace(self, start: int, codes: Sequence[int]) -> int:
+        rows, col = self.rows, self.col
         c = start
         for code in codes:
-            nxt = self.rows[c][self.col(code)]
-            if nxt is None:
-                return None
-            c = self.rep(nxt)
+            c = rows[c][col(code)]
         return c
-
-    def compact(self) -> None:
-        live = self.alive()
-        remap = {old: new for new, old in enumerate(live)}
-        self.rows = [
-            [None if e is None else remap[self.rep(e)] for e in self.rows[old]] for old in live
-        ]
-        self.parent = list(range(len(self.rows)))
 
     def permutations(self) -> dict[int, tuple[int, ...]]:
         """Core generator index (1-based) -> permutation of cosets."""
@@ -158,7 +137,7 @@ class CosetTable:
             for c in queue:
                 for code in codes:
                     d = self.rows[c][self.col(code)]
-                    if d is not None and reps[d] is None:
+                    if reps[d] is None:
                         reps[d] = reps[c] + (code,)
                         nxt.append(d)
             queue = nxt
@@ -179,7 +158,9 @@ def todd_coxeter(
     Deterministic: cosets are processed in increasing order, relators in
     presentation order, and new cosets are defined along the relator being
     scanned.  Completion with a trivial subgroup yields the regular
-    representation (cosets = group elements).
+    representation (cosets = group elements).  The working table and the
+    union-find of its coincidences live here; only a completed table,
+    renumbered, leaves as a ``CosetTable``.
     """
     if budget is None:
         budget = Budget()
@@ -187,117 +168,123 @@ def todd_coxeter(
     # column is its letter's column ^ 1
     relators = [[CosetTable.col(c) for c in r] for r in pres.core_relators()]
     sub = [[CosetTable.col(c) for c in pres.encode(w)] for w in subgroup_gens]
-    t = CosetTable(len(pres.core_generators()))
+    n_core = len(pres.core_generators())
+    ncols = 2 * n_core
+    rows: list[list[int | None]] = [[None] * ncols]
+    parent = [0]  # a coset merged away points towards the one that absorbed it
+    definitions = fills = 0
+
+    def rep(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
 
     def define(c: int, colx: int) -> int | None:
-        t.definitions += 1
-        if t.definitions > budget.max_cosets:
+        nonlocal definitions, fills
+        definitions += 1
+        if definitions > budget.max_cosets:
             return None
-        t.rows.append([None] * t.ncols)
-        t.parent.append(len(t.rows) - 1)
-        n = len(t.rows) - 1
-        t.rows[c][colx] = n
-        t.rows[n][CosetTable.inv_col(colx)] = c
-        t.fills += 2
+        n = len(rows)
+        rows.append([None] * ncols)
+        parent.append(n)
+        rows[c][colx] = n
+        rows[n][colx ^ 1] = c
+        fills += 2
         return n
 
     def merge(a: int, b: int, queue: list[int]) -> None:
-        a, b = t.rep(a), t.rep(b)
+        a, b = rep(a), rep(b)
         if a == b:
             return
         lo, hi = (a, b) if a < b else (b, a)
-        t.parent[hi] = lo
+        parent[hi] = lo
         queue.append(hi)
 
     def coincidence(a: int, b: int) -> None:
+        nonlocal fills
         queue: list[int] = []
         merge(a, b, queue)
         qi = 0
         while qi < len(queue):
             y = queue[qi]
             qi += 1
-            for colx in range(t.ncols):
-                d = t.rows[y][colx]
+            for colx in range(ncols):
+                d = rows[y][colx]
                 if d is None:
                     continue
                 # detach the mirror entry before transplanting the edge
-                if t.rows[d][CosetTable.inv_col(colx)] == y:
-                    t.rows[d][CosetTable.inv_col(colx)] = None
-                mu, nu = t.rep(y), t.rep(d)
-                existing = t.rows[mu][colx]
+                if rows[d][colx ^ 1] == y:
+                    rows[d][colx ^ 1] = None
+                mu, nu = rep(y), rep(d)
+                existing = rows[mu][colx]
                 if existing is not None:
                     merge(nu, existing, queue)
                 else:
-                    back = t.rows[nu][CosetTable.inv_col(colx)]
+                    back = rows[nu][colx ^ 1]
                     if back is not None:
                         merge(mu, back, queue)
                     else:
-                        t.rows[mu][colx] = nu
-                        t.rows[nu][CosetTable.inv_col(colx)] = mu
-                        t.fills += 2
+                        rows[mu][colx] = nu
+                        rows[nu][colx ^ 1] = mu
+                        fills += 2
 
     def scan_and_fill(start: int, cols: list[int]) -> bool:
         """Returns False on budget exhaustion."""
+        nonlocal fills
         i, j = 0, len(cols) - 1
-        f = b = t.rep(start)
+        f = b = rep(start)
         while True:
             while i <= j:
-                nxt = t.rows[f][cols[i]]
+                nxt = rows[f][cols[i]]
                 if nxt is None:
                     break
-                f = t.rep(nxt)
+                f = rep(nxt)
                 i += 1
             if i > j:
                 if f != b:
                     coincidence(f, b)
                 return True
             while j >= i:
-                prv = t.rows[b][cols[j] ^ 1]
+                prv = rows[b][cols[j] ^ 1]
                 if prv is None:
                     break
-                b = t.rep(prv)
+                b = rep(prv)
                 j -= 1
             if j < i:
                 coincidence(f, b)
                 return True
             if i == j:
-                t.rows[f][cols[i]] = b
-                t.rows[b][cols[i] ^ 1] = f
-                t.fills += 2
-                if t.fills > budget.max_deductions:
-                    return False
-                return True
-            n = define(f, cols[i])
-            if n is None:
-                return False
-            if t.fills > budget.max_deductions:
+                rows[f][cols[i]] = b
+                rows[b][cols[i] ^ 1] = f
+                fills += 2
+                return fills <= budget.max_deductions
+            if define(f, cols[i]) is None or fills > budget.max_deductions:
                 return False
 
     for w in sub:
         if not scan_and_fill(0, w):
             return BudgetExceeded("coset budget exhausted on subgroup generators")
     c = 0
-    while c < len(t.rows):
-        if t.rep(c) != c:
-            c += 1
-            continue
+    while c < len(rows):
         for r in relators:
-            if t.rep(c) != c:
+            if rep(c) != c:
                 break
             if not scan_and_fill(c, r):
                 return BudgetExceeded("coset budget exhausted")
         # close remaining gaps in this row so the table ends complete
-        if t.rep(c) == c:
-            for colx in range(t.ncols):
-                if t.rows[c][colx] is None:
-                    if define(c, colx) is None:
-                        return BudgetExceeded("coset budget exhausted")
+        if rep(c) == c:
+            for colx in range(ncols):
+                if rows[c][colx] is None and define(c, colx) is None:
+                    return BudgetExceeded("coset budget exhausted")
         c += 1
-    t.compact()
-    if any(e is None for row in t.rows for e in row):
+    # renumber the live cosets 0..n-1 in discovery order
+    live = [c for c in range(len(rows)) if parent[c] == c]
+    remap = {old: new for new, old in enumerate(live)}
+    table = [[None if e is None else remap[rep(e)] for e in rows[old]] for old in live]
+    if any(e is None for row in table for e in row):
         return BudgetExceeded("table incomplete after scan")
-    t.complete = True
-    return t
+    return CosetTable(n_core, table, definitions, fills)
 
 
 # ---------------------------------------------------------------------------
@@ -763,12 +750,15 @@ def nontrivial_quotient_search(
     if max_degree > MAX_QUOTIENT_DEGREE:
         raise ValueError(f"max_degree capped at {MAX_QUOTIENT_DEGREE}")
     witness = _quotient_search(pres, max_degree, (), ())
-    if witness is None:
-        return None
-    # surviving generator recorded as the witness word
+    return None if witness is None else _first_moved(witness)
+
+
+def _first_moved(witness: QuotientWitness) -> QuotientWitness | None:
+    """The witness with its first generator that moves a point as its word,
+    or None when every generator fixes every point."""
     for g, p in witness.images:
         if p != tuple(range(witness.degree)):
-            return QuotientWitness(witness.degree, witness.images, ((g, 1),))
+            return replace(witness, word=((g, 1),))
     return None
 
 
@@ -862,10 +852,9 @@ def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> T
     if table is not None:
         # finite but not order 1: some generator acts nontrivially in the
         # regular representation, which is itself a permutation witness
-        regular = table.quotient_witness(pres, ())
-        for g, p in regular.images:
-            if p != tuple(range(regular.degree)):
-                return _check_invariant(TriState(REFUTED, replace(regular, word=((g, 1),))))
+        regular = _first_moved(table.quotient_witness(pres, ()))
+        if regular is not None:
+            return _check_invariant(TriState(REFUTED, regular))
     return TriState(UNKNOWN)
 
 
@@ -1043,7 +1032,7 @@ def _verify_table_consistency(pres: GroupPresentation, table: CosetTable) -> boo
             d = table.rows[c][colx]
             if d is None or not (0 <= d < n):
                 return False
-            if table.rows[d][CosetTable.inv_col(colx)] != c:
+            if table.rows[d][colx ^ 1] != c:
                 return False
     for r in pres.core_relators():
         for c in range(n):
@@ -1056,7 +1045,7 @@ def _verify_enumeration(pres: GroupPresentation, codes, cert: CosetEnumerationCe
     if cert.coset != 0:  # only the coset of the identity proves a word trivial
         return False
     table = todd_coxeter(pres, (), cert.budget)
-    if not isinstance(table, CosetTable) or not table.complete:
+    if not isinstance(table, CosetTable):
         return False
     if len(table.rows) != cert.n_cosets or table.content_hash() != cert.table_hash:
         return False
@@ -1070,7 +1059,10 @@ def _verify_hom_image(pres: GroupPresentation, codes, cert: HomImageWitness) -> 
 
     if cert.hom_kind != BBImageHom.kind:
         return False
-    hom = BBImageHom(FlagComplex.from_json(cert.payload))
+    try:
+        hom = BBImageHom(FlagComplex.from_json(cert.payload))
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return False  # a payload that is no complex replays nothing
     if not hom.check_compatible(pres):
         return False
     image = hom.image(pres.decode(codes))

@@ -32,26 +32,28 @@ def invert(w: Word) -> Word:
 
 
 def pairing_map(inverse_pairs: Iterable[Sequence[str]]) -> dict[str, str]:
-    """Each symbol of a formal-inverse pair mapped to its mate."""
+    """Each symbol of a formal-inverse pair mapped to its mate.  A symbol
+    paired with itself, or in two pairs, is a ``ValueError``."""
     out: dict[str, str] = {}
     for a, b in inverse_pairs:
+        if a == b or a in out or b in out:
+            raise ValueError(f"malformed formal-inverse pair ({a!r},{b!r})")
         out[a] = b
         out[b] = a
     return out
 
 
-def normalize(w: Word, inverse_pairs: Mapping[str, str] | None = None) -> Word:
-    """Rewrite formally-inverse symbols onto canonical representatives."""
-    if not inverse_pairs:
+def is_core(symbol: str, pairing: Mapping[str, str]) -> bool:
+    """Whether a symbol is kept on the core alphabet: of a formal-inverse
+    pair, the smaller symbol; an unpaired symbol always."""
+    return pairing.get(symbol, symbol) >= symbol
+
+
+def normalize(w: Word, pairing: Mapping[str, str] | None = None) -> Word:
+    """Rewrite formally-inverse symbols onto their core mates."""
+    if not pairing:
         return tuple(w)
-    out = []
-    for s, e in w:
-        mate = inverse_pairs.get(s)
-        if mate is not None and mate < s:
-            out.append((mate, -e))
-        else:
-            out.append((s, e))
-    return tuple(out)
+    return tuple((s, e) if is_core(s, pairing) else (pairing[s], -e) for s, e in w)
 
 
 def free_reduce(w: Word) -> Word:

@@ -9,7 +9,7 @@ so its results must equal these, in the same order.
 
 from __future__ import annotations
 
-from tautloop.cayley import bfs
+from tautloop.complexes import bfs
 
 
 def cycle_key(cycle: tuple) -> tuple:

@@ -4,6 +4,8 @@ import pytest
 
 from tautloop.cayley import ZModOracle
 from tautloop.cli import main, spectrum_claims
+from tautloop.complexes import EdgeLoop, FlagComplex, OmegaSet
+from tautloop.presentations import build_P
 from tautloop.spectrum import spectrum
 from tautloop.word_engine import Budget
 
@@ -315,6 +317,16 @@ def test_verify_cert_fails_cancelling_symbols_outside_its_presentation(racg_c4_r
     assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
+@pytest.mark.parametrize("payload", [{}, {"vertices": ["0", "1"], "edges": [["0", "9"]]}])
+def test_verify_cert_fails_a_hom_image_witness_with_a_malformed_payload(files, capsys, payload):
+    pres = build_P(FlagComplex.from_json(_load(files["c4"])), OmegaSet((EdgeLoop(("0", "1", "2", "3")),)), {0})
+    word = [["e:0:1", 1]]
+    witness = {"type": "hom_image", "hom_kind": "bb", "payload": payload, "word": word, "image": [["0", 1], ["1", -1]]}
+    claim = {"word": word, "presentation": pres.to_json(), "verdict": {"status": "refuted", "certificate": witness}}
+    code, out = run(["verify-cert", files["dump"]("payload.json", {"claims": [claim]})], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+
+
 def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):
     path = str(files["dir"] / "r.json")
     argv = ["spectrum", "--oracle", "racg", "--complex", files["c5"], "--horizon", "8"]
@@ -539,6 +551,11 @@ BAD_INPUT = {
         lambda f: ["complex", "analyze", "--complex", f["dump"]("g.json", {"vertices": ["0", "1"]})], 2),
     "present-j-without-action": (
         lambda f: ["present", "j", "--instance", f["dump"]("i.json", {"group": {}})], 2),
+    # a = a^-1 is no formal-inverse pair: the presentation is malformed, not infinite
+    "coset-self-pair": (
+        lambda f: ["ball", "--oracle", "coset:" + f["dump"]("p.json", {
+            "generators": ["a"], "relators": [], "inverse_pairs": [["a", "a"]]}), "--radius", "1"], 2),
+    "schedule-C-zero": (lambda f: ["schedule", "--d", "1", "--beta", "4", "--C", "0"], 2),
 }
 
 
@@ -557,9 +574,9 @@ def test_semiker_enumerates_each_group_once_within_the_budget(files, capsys, mon
     built = []
     original = CosetTable.__init__
 
-    def counted(self, n_core):
+    def counted(self, n_core, *table):
         built.append(n_core)
-        original(self, n_core)
+        original(self, n_core, *table)
 
     monkeypatch.setattr(CosetTable, "__init__", counted)
     instance = _cycle_rotation_instance(files)

@@ -252,9 +252,9 @@ def _count_coset_tables(monkeypatch) -> list:
     built = []
     original = CosetTable.__init__
 
-    def counted(self, n_core):
+    def counted(self, n_core, *table):
         built.append(n_core)
-        original(self, n_core)
+        original(self, n_core, *table)
 
     monkeypatch.setattr(CosetTable, "__init__", counted)
     return built

@@ -54,6 +54,15 @@ def test_build_rejects_duplicates_and_unknown_symbols():
         GroupPresentation.build(["a"], [], inverse_pairs=[("a", "b")])
 
 
+def test_build_rejects_malformed_pairings():
+    # (a, c) and (b, c) make a and b both inverse to c, so a c is trivial;
+    # a core view of such pairs kept a and c apart and refuted it
+    with pytest.raises(PresentationError):
+        GroupPresentation.build(["a", "b", "c"], [], [("a", "c"), ("b", "c")])
+    with pytest.raises(PresentationError):
+        GroupPresentation.build(["a"], [], [("a", "a")])
+
+
 def test_relator_dedup_up_to_rotation_and_inversion():
     pres = GroupPresentation.build(["a", "b"], [w("a b"), w("b a"), w("b- a-"), ()])
     assert len(pres.relators) == 1

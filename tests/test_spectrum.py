@@ -409,6 +409,14 @@ def test_spectrum_over_a_pair_in_either_order_replays(gens):
     assert all(verify_certificate(c.presentation, c.state) for c in claims)
 
 
+@pytest.mark.parametrize("pairs", [[("a", "a")], [("a", "c"), ("b", "c")]])
+def test_free_oracle_and_spectrum_refuse_a_malformed_pairing(pairs):
+    with pytest.raises(ValueError):
+        FreeGroupOracle(["a", "b", "c"], pairs)
+    with pytest.raises(ValueError):
+        spectrum(FreeGroupOracle(["a", "b", "c"]), ["a", "b", "c"], 3, inverse_pairs=pairs)
+
+
 def test_spectrum_over_a_pair_with_the_kept_member_first_keeps_its_bytes():
     text = _s3_with_a_pair(["A", "a", "b"]).dumps()
     assert hashlib.sha256(text.encode()).hexdigest() == (

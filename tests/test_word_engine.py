@@ -601,6 +601,17 @@ def test_hom_image_witness_over_a_foreign_symbol_fails_replay():
     assert verify_certificate(p0, TriState("refuted", witness)) is False
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [{}, [], {"vertices": ["0", "1"], "edges": [["0", "9"]]}, {"vertices": ["0", "1"], "edges": [["0"]]}],
+    ids=["empty", "list", "edge-leaves-vertices", "one-ended-edge"],
+)
+def test_hom_image_witness_with_a_malformed_payload_fails_replay(payload):
+    _, p0 = _p_c4()
+    witness = word_engine.HomImageWitness("bb", payload, w("e:0:1"), w("0 1-"))
+    assert verify_certificate(p0, TriState("refuted", witness)) is False
+
+
 def test_hom_image_witness_over_a_symbol_unknown_to_the_payload_fails_replay():
     c4, p0 = _p_c4()
     witness = word_engine.HomImageWitness("bb", c4.to_json(), w("zz"), w("0"))

@@ -48,6 +48,12 @@ def test_normalize_collapses_formal_inverse_pairs():
     assert words.free_reduce(words.normalize(w("a b"), pairing)) == ()
 
 
+@pytest.mark.parametrize("pairs", [[("a", "a")], [("a", "c"), ("b", "c")], [("a", "b"), ("b", "a")]])
+def test_pairing_map_rejects_a_self_pair_and_a_symbol_in_two_pairs(pairs):
+    with pytest.raises(ValueError):
+        words.pairing_map(pairs)
+
+
 def test_canonical_cyclic_identifies_rotations_and_inverses():
     base = w("a a b")
     for rot in words.rotations(base):
