@@ -247,13 +247,14 @@ def cmd_schedule(args) -> int:
             _usage_error("need either --complex/--omega or --d/--beta")
         d, beta = args.d, args.beta
     c = args.C if args.C is not None else sched_mod.choose_C(d, beta)
-    for n in _parse_ints(args.f) + _parse_ints(args.fprime):
-        if n > 20:
-            _usage_error("schedule indices above 20 are rejected")
     constants = sched_mod.Constants(d, beta, c)
-    report = sched_mod.schedule_report(
-        constants, args.nmax, _parse_ints(args.f), _parse_ints(args.fprime)
-    )
+    f, fprime = _parse_ints(args.f), _parse_ints(args.fprime)
+    for n in [args.nmax] + f + fprime:
+        try:
+            sched_mod.check_index(n, c)
+        except sched_mod.ScheduleError as exc:
+            _usage_error(f"schedule indices: {exc}")
+    report = sched_mod.schedule_report(constants, args.nmax, f, fprime)
     _emit(report, args.out)
     return EXIT_OK
 

@@ -264,14 +264,8 @@ def reduced_homology(complex_: FlagComplex, degree: int) -> HomologyGroup:
     else:
         lower = _boundary_matrix(complex_, degree)
     upper = _boundary_matrix(complex_, degree + 1)
-
-    def diag_of(m: list[list[int]]) -> list[int]:
-        if not m or not m[0]:
-            return []
-        return smith_normal_form(m)[0]
-
-    rank_lower = rank_of_diagonal(diag_of(lower))
-    diag_upper = diag_of(upper)
+    rank_lower = rank_of_diagonal(smith_normal_form(lower)[0])
+    diag_upper = smith_normal_form(upper)[0]
     rank_upper = rank_of_diagonal(diag_upper)
     rank = n_cells - rank_lower - rank_upper
     torsion = tuple(d for d in diag_upper if d > 1)
@@ -284,8 +278,8 @@ def is_acyclic(complex_: FlagComplex) -> bool:
 
 def spanning_tree(complex_: FlagComplex, basepoint: str) -> frozenset[frozenset[str]]:
     """Deterministic spanning tree: grow from the basepoint, always attaching
-    the lowest-index unreached vertex through its lowest-index reached
-    neighbour.  Built once per basepoint, kept with its ``chord_words``."""
+    the lowest-index unreached vertex with a reached neighbour, through the
+    one reached earliest.  Built once per basepoint, kept with its ``chord_words``."""
     if basepoint in complex_._trees:
         return complex_._trees[basepoint][0]
     if basepoint not in complex_.vertices:

@@ -18,6 +18,30 @@ def mat_vec(v: list[int], m: list[list[int]]) -> list[int]:
     return [sum(v[i] * m[i][j] for i in range(len(v))) for j in range(cols)]
 
 
+def _pivot(a: list[list[int]], v: list[list[int]], t: int, below: int | None) -> bool:
+    """Swap into (t, t) the first least nonzero entry of ``a`` from (t, t) on,
+    if below ``below`` (any, when None), moving ``v``'s columns too; False if none."""
+    nrows, ncols = len(a), len(a[t])
+    best = below
+    found = None
+    for i in range(t, nrows):
+        for j in range(t, ncols):
+            if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
+                best = abs(a[i][j])
+                found = (i, j)
+    if found is None:
+        return False
+    pi, pj = found
+    if pi != t:
+        a[t], a[pi] = a[pi], a[t]
+    if pj != t:
+        for row in a:
+            row[t], row[pj] = row[pj], row[t]
+        for row in v:
+            row[t], row[pj] = row[pj], row[t]
+    return True
+
+
 def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int]]]:
     """Return (diagonal, V) with U*A*V diagonal for some unimodular U.
 
@@ -32,24 +56,8 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int
     diag: list[int] = []
     t = 0
     while t < nrows and t < ncols:
-        # locate a minimal-magnitude nonzero pivot in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < best):
-                    best = abs(a[i][j])
-                    pivot = (i, j)
-        if pivot is None:
+        if not _pivot(a, v, t, None):
             break
-        pi, pj = pivot
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
-            for row in a:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
         while True:
             changed = False
             for i in range(t + 1, nrows):
@@ -69,37 +77,15 @@ def smith_normal_form(matrix: list[list[int]]) -> tuple[list[int], list[list[int
                             v[i][j] -= q * v[i][t]
                         changed = True
             # a smaller remainder may have appeared; re-pivot on it
-            best = abs(a[t][t])
-            pivot = None
-            for i in range(t, nrows):
-                for j in range(t, ncols):
-                    if a[i][j] != 0 and abs(a[i][j]) < best:
-                        best = abs(a[i][j])
-                        pivot = (i, j)
-            if pivot is not None:
-                pi, pj = pivot
-                if pi != t:
-                    a[t], a[pi] = a[pi], a[t]
-                if pj != t:
-                    for row in a:
-                        row[t], row[pj] = row[pj], row[t]
-                    for row in v:
-                        row[t], row[pj] = row[pj], row[t]
-                changed = True
+            changed = _pivot(a, v, t, abs(a[t][t])) or changed
             if not changed:
                 break
-        # enforce divisibility of later entries by the current pivot
-        fixed = False
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    for k in range(t, ncols):
-                        a[t][k] += a[i][k]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
+        # enforce divisibility of later entries by the current pivot: add the
+        # first later row with an entry it does not divide to row t, and redo t
+        bad = next((i for i in range(t + 1, nrows) for j in range(t + 1, ncols) if a[i][j] % a[t][t]), None)
+        if bad is not None:
+            for k in range(t, ncols):
+                a[t][k] += a[bad][k]
             continue
         if a[t][t] < 0:
             for i in range(nrows):

@@ -7,8 +7,10 @@ converted to floating point.  Big integers such as C^(2^n) stay exact.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -18,6 +20,27 @@ class ScheduleError(ValueError):
     pass
 
 
+def check_index(n: int, C: int | None = None) -> None:
+    """The one rule for an index n of the schedule: a natural, at most 32 so
+    that C^(2^n) can be materialised exactly, and, given C, small enough that
+    the least value reported for it, C^(2^n - 1), prints under the
+    interpreter's limit on digits.  That power is squared up from n = 0 and
+    given up as soon as it passes the limit."""
+    if n < 0:
+        raise ScheduleError("indices are naturals")
+    if n > 32:
+        raise ScheduleError("index too large for exact materialization")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if C is None or not limit:
+        return
+    value, bound = 1, 10**limit
+    for _ in range(n):
+        value = value * value * C
+        if value >= bound:
+            raise ScheduleError(f"index {n} gives values of more than {limit} digits")
+
+
+@functools.total_ordering
 @dataclass(frozen=True)
 class SqrtRational:
     """The real number sign * sqrt(square), square a nonnegative rational."""
@@ -48,52 +71,24 @@ class SqrtRational:
     def __abs__(self) -> "SqrtRational":
         return SqrtRational(abs(self.sign), self.square)
 
-    def _cmp(self, other: "SqrtRational") -> int:
-        if self.sign != other.sign:
-            return self.sign - other.sign
-        if self.square == other.square:
-            return 0
-        bigger = 1 if self.square > other.square else -1
-        return bigger * (1 if self.sign >= 0 else -1) if self.sign or other.sign else 0
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+    def __lt__(self, other: "SqrtRational") -> bool:
+        # sqrt is increasing, so sign * square orders the values
+        return self.sign * self.square < other.sign * other.square
 
     def is_rational(self) -> bool:
         num, den = self.square.numerator, self.square.denominator
         return math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den
 
-    def ceil(self) -> int:
-        """Least integer >= self, exact."""
-        if self.sign == 0:
-            return 0
-        if self.sign < 0:
-            return -SqrtRational(1, self.square).floor()
-        num, den = self.square.numerator, self.square.denominator
-        guess = math.isqrt(num // den)
-        while Fraction(guess * guess) < self.square:
-            guess += 1
-        return guess
-
     def floor(self) -> int:
-        if self.sign == 0:
-            return 0
+        """Greatest integer <= self, exact: for q > 0, floor(sqrt q) =
+        isqrt(floor(q)) and ceil(sqrt q) = isqrt(ceil(q) - 1) + 1."""
         if self.sign < 0:
-            return -SqrtRational(1, self.square).ceil()
-        num, den = self.square.numerator, self.square.denominator
-        guess = math.isqrt(num // den) + 1
-        while Fraction(guess * guess) > self.square:
-            guess -= 1
-        return guess
+            return -math.isqrt(math.ceil(self.square) - 1) - 1
+        return math.isqrt(math.floor(self.square)) if self.sign else 0
+
+    def ceil(self) -> int:
+        """Least integer >= self: ceil(x) = -floor(-x)."""
+        return -SqrtRational(-self.sign, self.square).floor()
 
     def simplified(self) -> tuple[Fraction, int]:
         """(coefficient, radicand) with squarefree integer radicand."""
@@ -182,10 +177,7 @@ def S_of_F(C: int, F: Iterable[int]) -> tuple[int, ...]:
     """{0} together with C^(2^n) for n in the finite index set F."""
     out = {0}
     for n in sorted(set(int(n) for n in F)):
-        if n < 0:
-            raise ScheduleError("indices are naturals")
-        if n > 32:
-            raise ScheduleError("index too large for exact materialization")
+        check_index(n)
         out.add(C ** (2 ** n))
     return tuple(sorted(out))
 
@@ -259,10 +251,7 @@ class IntervalSchedule:
 
 def predicted_intervals(constants: Constants, n_max: int) -> IntervalSchedule:
     """Intervals for n = 0..n_max with an exact disjointness certificate."""
-    if n_max < 0:
-        raise ScheduleError("n_max must be a natural")
-    if n_max > 32:
-        raise ScheduleError("index too large for exact materialization")
+    check_index(n_max)
     alpha = constants.alpha
     intervals = []
     for n in range(n_max + 1):
@@ -281,8 +270,7 @@ def qi_obstruction(F: Iterable[int], Fprime: Iterable[int], C: int) -> dict[int,
     sym = set(int(n) for n in F) ^ set(int(n) for n in Fprime)
     out = {}
     for n in sorted(sym):
-        if n > 32:
-            raise ScheduleError("index too large for exact materialization")
+        check_index(n)
         out[n] = C ** (2 ** n - 1)
     return out
 

@@ -26,10 +26,11 @@ import itertools
 import json
 from dataclasses import dataclass, field, replace
 from operator import add
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from . import normal_forms, words
-from .linalg import smith_normal_form
+from .complexes import bfs
+from .linalg import rank_of_diagonal, smith_normal_form
 from .presentations import (
     GroupPresentation,
     Homomorphism,
@@ -70,9 +71,11 @@ class Budget:
 
 @dataclass(frozen=True)
 class BudgetExceeded:
-    """Inconclusive outcome marker; downstream this means Unknown, never error."""
+    """Inconclusive outcome marker; downstream this means Unknown, never error.
+    ``definitions`` counts the cosets an enumeration defined before it gave up."""
 
     reason: str
+    definitions: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -127,21 +130,12 @@ class CosetTable:
 
     def element_words(self) -> list[tuple[int, ...]]:
         """Shortest representative word per coset, via BFS in lex column order."""
-        n = len(self.rows)
-        reps: list[tuple[int, ...] | None] = [None] * n
-        reps[0] = ()
-        queue = [0]
         codes = [g for i in range(1, self.n_core + 1) for g in (i, -i)]
-        while queue:
-            nxt = []
-            for c in queue:
-                for code in codes:
-                    d = self.rows[c][self.col(code)]
-                    if reps[d] is None:
-                        reps[d] = reps[c] + (code,)
-                        nxt.append(d)
-            queue = nxt
-        return [r if r is not None else () for r in reps]
+        nbrs = [[(d, (code,)) for code, d in zip(codes, row)] for row in self.rows]
+        reps: dict[int, tuple[int, ...]] = {}
+        for c, (_, parent, letter) in bfs(nbrs, 0).items():
+            reps[c] = reps.get(parent, ()) + letter
+        return [reps[c] for c in range(len(self.rows))]
 
     def content_hash(self) -> str:
         payload = json.dumps(self.rows, sort_keys=True).encode()
@@ -182,9 +176,9 @@ def todd_coxeter(
 
     def define(c: int, colx: int) -> int | None:
         nonlocal definitions, fills
-        definitions += 1
-        if definitions > budget.max_cosets:
+        if definitions == budget.max_cosets:
             return None
+        definitions += 1
         n = len(rows)
         rows.append([None] * ncols)
         parent.append(n)
@@ -264,26 +258,26 @@ def todd_coxeter(
 
     for w in sub:
         if not scan_and_fill(0, w):
-            return BudgetExceeded("coset budget exhausted on subgroup generators")
+            return BudgetExceeded("coset budget exhausted on subgroup generators", definitions)
     c = 0
     while c < len(rows):
         for r in relators:
             if rep(c) != c:
                 break
             if not scan_and_fill(c, r):
-                return BudgetExceeded("coset budget exhausted")
+                return BudgetExceeded("coset budget exhausted", definitions)
         # close remaining gaps in this row so the table ends complete
         if rep(c) == c:
             for colx in range(ncols):
                 if rows[c][colx] is None and define(c, colx) is None:
-                    return BudgetExceeded("coset budget exhausted")
+                    return BudgetExceeded("coset budget exhausted", definitions)
         c += 1
     # renumber the live cosets 0..n-1 in discovery order
     live = [c for c in range(len(rows)) if parent[c] == c]
     remap = {old: new for new, old in enumerate(live)}
     table = [[None if e is None else remap[rep(e)] for e in rows[old]] for old in live]
     if any(e is None for row in table for e in row):
-        return BudgetExceeded("table incomplete after scan")
+        return BudgetExceeded("table incomplete after scan", definitions)
     return CosetTable(n_core, table, definitions, fills)
 
 
@@ -296,8 +290,8 @@ def todd_coxeter(
 class FreeReductionCertificate:
     """The word freely reduces to the empty word; replay reduces it again."""
 
+    kind: ClassVar[str] = "free_reduction"
     word: Word
-    kind: str = "free_reduction"
 
     def to_json(self) -> dict:
         return {"type": self.kind, "word": words.to_json(self.word)}
@@ -315,13 +309,14 @@ class QuotientWitness:
     non-identity one; both conditions are re-checked on replay.
     """
 
+    kind: ClassVar[str] = "quotient_witness"
     degree: int
     images: tuple[tuple[str, tuple[int, ...]], ...]  # core generator -> permutation
     word: Word
 
     def to_json(self) -> dict:
         return {
-            "type": "quotient_witness",
+            "type": self.kind,
             "degree": self.degree,
             "images": {g: list(p) for g, p in self.images},
             "word": words.to_json(self.word),
@@ -340,12 +335,13 @@ class QuotientWitness:
 class NormalClosureDerivation:
     """Sequence of conjugated-relator insertions reducing a word to empty."""
 
+    kind: ClassVar[str] = "normal_closure_derivation"
     word: Word
     steps: tuple[tuple[int, Word], ...]  # (position, inserted relator variant)
 
     def to_json(self) -> dict:
         return {
-            "type": "normal_closure_derivation",
+            "type": self.kind,
             "word": words.to_json(self.word),
             "steps": [[pos, words.to_json(ins)] for pos, ins in self.steps],
         }
@@ -369,6 +365,7 @@ class CosetEnumerationCertificate:
     independent Proved route is the normal-closure derivation.
     """
 
+    kind: ClassVar[str] = "coset_enumeration"
     budget: Budget
     n_cosets: int
     table_hash: str
@@ -377,7 +374,7 @@ class CosetEnumerationCertificate:
 
     def to_json(self) -> dict:
         return {
-            "type": "coset_enumeration",
+            "type": self.kind,
             "budget": self.budget.to_json(),
             "n_cosets": self.n_cosets,
             "table_hash": self.table_hash,
@@ -400,6 +397,7 @@ class CosetEnumerationCertificate:
 class HomImageWitness:
     """Nontrivial image under a registered homomorphism with an exact engine."""
 
+    kind: ClassVar[str] = "hom_image"
     hom_kind: str
     payload: dict
     word: Word
@@ -407,7 +405,7 @@ class HomImageWitness:
 
     def to_json(self) -> dict:
         return {
-            "type": "hom_image",
+            "type": self.kind,
             "hom_kind": self.hom_kind,
             "payload": self.payload,
             "word": words.to_json(self.word),
@@ -425,11 +423,9 @@ class HomImageWitness:
 
 
 CERT_TYPES = {
-    "free_reduction": FreeReductionCertificate,
-    "quotient_witness": QuotientWitness,
-    "normal_closure_derivation": NormalClosureDerivation,
-    "coset_enumeration": CosetEnumerationCertificate,
-    "hom_image": HomImageWitness,
+    cls.kind: cls
+    for cls in (FreeReductionCertificate, QuotientWitness, NormalClosureDerivation,
+                CosetEnumerationCertificate, HomImageWitness)
 }
 
 
@@ -513,9 +509,10 @@ class BBImageHom:
 
 
 def _abelian_data(pres: GroupPresentation):
-    """Core generators, the Smith diagonal of the relator exponent matrix and
-    each letter code's row: ``V[j-1]`` for ``+j`` and its negative for ``-j``,
-    ``V`` the right transform.  A word's coordinates sum its letters' rows."""
+    """Core generators, each coordinate's modulus (its Smith factor of the
+    relator exponent matrix, 0 for a free coordinate) and each letter code's
+    row: ``V[j-1]`` for ``+j`` and its negative for ``-j``, ``V`` the right
+    transform.  A word's coordinates sum its letters' rows."""
     core = pres.core_generators()
     n = len(core)
     relator_rows = [list(exponent_vector(r, n)) for r in pres.core_relators()]
@@ -527,7 +524,7 @@ def _abelian_data(pres: GroupPresentation):
     for j, row in enumerate(v, 1):
         rows[j] = tuple(row)
         rows[-j] = tuple(-x for x in row)
-    return core, diag, rows
+    return core, tuple(diag) + (0,) * (n - len(diag)), rows
 
 
 def _abelian_coords(data, codes: Sequence[int]) -> tuple[int, ...]:
@@ -545,12 +542,10 @@ def _smallest_nondividing_modulus(value: int) -> int:
 def _abelian_obstruction(data, coords: Sequence[int]) -> tuple[int, int] | None:
     """The first coordinate ``i`` nonzero in its cyclic factor and a modulus
     showing it, or None when the word dies in the abelianization."""
-    diag = data[1]
-    r = len(diag)
-    for i, x in enumerate(coords):
-        if i < r and diag[i] != 0:
-            if x % diag[i]:
-                return i, diag[i]
+    for i, (x, m) in enumerate(zip(coords, data[1])):
+        if m:
+            if x % m:
+                return i, m
         elif x:
             return i, _smallest_nondividing_modulus(x)
     return None
@@ -788,8 +783,8 @@ class WordProblemEngine:
         the group's elements, so none is tried when the abelianization has a
         free factor: the group is then infinite."""
         if self._table is None:
-            core, diag, _ = self._abelian
-            if sum(map(bool, diag)) == len(core):
+            core, mods, _ = self._abelian
+            if rank_of_diagonal(mods) == len(core):
                 self._table = todd_coxeter(self.pres, (), self.budget)
             else:
                 self._table = BudgetExceeded("infinite abelianization")
@@ -897,8 +892,7 @@ def _dying_words(rows, data):
     their Smith factor, free ones whole); the suffixes are filed once under
     their reduced negative sum, and a prefix meets its own by one lookup.
     Lexicographic order is (prefix, suffix) order."""
-    core, diag, _ = data
-    mods = tuple(diag) + (0,) * len(core)
+    core, mods, _ = data
 
     def image(coords):
         return tuple(x % m if m else x for x, m in zip(coords, mods))

@@ -556,6 +556,10 @@ BAD_INPUT = {
         lambda f: ["ball", "--oracle", "coset:" + f["dump"]("p.json", {
             "generators": ["a"], "relators": [], "inverse_pairs": [["a", "a"]]}), "--radius", "1"], 2),
     "schedule-C-zero": (lambda f: ["schedule", "--d", "1", "--beta", "4", "--C", "0"], 2),
+    # C^(2^22) has millions of digits: rejected before it is computed
+    "schedule-nmax-22": (lambda f: ["schedule", "--d", "1", "--beta", "4", "--nmax", "22"], 2),
+    # a negative index would put a float threshold C^(2^-1 - 1) in the report
+    "schedule-negative-index": (lambda f: ["schedule", "--d", "1", "--beta", "4", "--fprime", "-1"], 2),
 }
 
 

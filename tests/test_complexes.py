@@ -122,6 +122,13 @@ def test_spanning_tree_is_deterministic_and_spanning():
     assert len(tree) == len(C4.vertices) - 1
 
 
+def test_spanning_tree_attaches_through_the_earliest_reached_neighbour():
+    # from 3, vertex 0 is attached first; 1 then attaches through 3, reached
+    # before 0, though 0 has the lower index
+    cx = flag_completion(SimpleGraph.build("0123", [("3", "0"), ("3", "1"), ("0", "1"), ("1", "2")]))
+    assert spanning_tree(cx, "3") == {frozenset("30"), frozenset("31"), frozenset("12")}
+
+
 def test_edge_loop_validation():
     EdgeLoop(("0", "1", "2", "3")).validate(C4)
     with pytest.raises(ComplexError):

@@ -1,10 +1,12 @@
 import math
+import random
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tautloop import linalg
+from two_scan_smith_normal_form import smith_normal_form as two_scan_smith_normal_form
 
 
 def multiply(a, b):
@@ -122,3 +124,14 @@ def test_snf_rank_matches_gaussian_rank(m):
         rank += 1
         row += 1
     assert linalg.rank_of_diagonal(diag) == rank
+
+
+def test_smith_normal_form_matches_the_two_scan_reference():
+    """The pivot is the first entry of least magnitude in scan order, as in
+    the reference's two scans, so the diagonal and V are the reference's."""
+    rng = random.Random(18)
+    for _ in range(5_000):
+        rows, cols, span = rng.randint(0, 7), rng.randint(0, 7), rng.choice((1, 3, 9, 100))
+        m = [[rng.randint(-span, span) if rng.random() < 0.7 else 0 for _ in range(cols)]
+             for _ in range(rows)]
+        assert linalg.smith_normal_form(m) == two_scan_smith_normal_form(m), m

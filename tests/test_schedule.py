@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from tautloop.schedule import (
     S_of_F,
     alpha_of,
     beta_of,
+    check_index,
     choose_C,
     height_distance,
     kernel_length_lower_bound,
@@ -144,6 +146,22 @@ def test_S_of_F():
         S_of_F(5, [-1])
     with pytest.raises(ScheduleError):
         S_of_F(5, [33])
+
+
+def test_check_index_rejects_an_index_whose_values_cannot_be_printed(monkeypatch):
+    # 126^(2^11 - 1), the least value reported for index 11, has 4300 digits,
+    # the interpreter's default limit; 126^(2^12 - 1) has more
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    assert 10**4299 <= 126**2047 < 10**4300
+    check_index(11, 126)
+    with pytest.raises(ScheduleError, match="digits"):
+        check_index(12, 126)
+    check_index(32)
+    for n in (-1, 33):
+        with pytest.raises(ScheduleError):
+            check_index(n)
+    with pytest.raises(ScheduleError):
+        qi_obstruction([-1], [], 5)
 
 
 def test_m_of():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import random
@@ -96,6 +97,9 @@ def test_enumeration_subgroup_index():
 def test_enumeration_budget_exceeded_on_free_group():
     out = todd_coxeter(FREE2, (), Budget(max_cosets=100, max_deductions=5000))
     assert isinstance(out, BudgetExceeded)
+    # with no relators every gap is closed by a definition, so the coset
+    # budget runs out after exactly max_cosets of them, and the count says so
+    assert out.definitions == 100
 
 
 def test_enumeration_is_deterministic():
@@ -479,6 +483,12 @@ def test_certificate_json_round_trips():
         replayed = TriState.from_json(state.to_json())
         assert replayed.status == state.status
         assert verify_certificate(p, replayed)
+
+
+def test_each_certificate_class_owns_its_type_string():
+    for kind, cls in word_engine.CERT_TYPES.items():
+        assert cls.kind == kind and "kind" not in {f.name for f in dataclasses.fields(cls)}
+    assert FreeReductionCertificate(w("a")).to_json() == {"type": "free_reduction", "word": [["a", 1]]}
 
 
 def test_tampered_certificates_fail_replay():
