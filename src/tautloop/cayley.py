@@ -195,7 +195,9 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
     ``gens`` is a list of generator symbols; both exponents are applied, so
     the move set is closed under formal inversion automatically.
     ``_rim=False`` leaves out the edges among the vertices at distance
-    ``radius``, the ball's rim, and so spares the last pass.
+    ``radius``, the ball's rim, and so spares the last pass.  A generator
+    whose two moves reach one vertex from the centre is an involution, so
+    g s^-1 = g s everywhere and its move s^-1, met after s, is dropped there.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
@@ -210,8 +212,10 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
         nxt = []
         for vid in frontier:
             start, word = keys[vid], verts[vid].word
+            reached = []
             for mv in moves:
                 key = oracle.normal_form(mv, start)
+                reached.append(key)
                 other = key_to_id.get(key)
                 if other is None:
                     if dist > radius:
@@ -225,6 +229,8 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
                 # from its smaller end
                 if vid < other:
                     letters.setdefault((vid, other), mv)
+            if vid == 0:
+                moves = [mv for i, mv in enumerate(moves) if i % 2 == 0 or reached[i] != reached[i - 1]]
         frontier = nxt
     edges = sorted(letters)
     edge_letters = tuple((u, v, letters[u, v]) for u, v in edges)

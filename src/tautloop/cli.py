@@ -15,6 +15,7 @@ import sys
 
 from . import cayley, words
 from .spectrum import (
+    REPORT_FORMAT,
     TAUT,
     LengthSet,
     Spectrum,
@@ -309,34 +310,54 @@ def cmd_semiker(args) -> int:
     return EXIT_OK if report.passed else EXIT_REFUTED
 
 
+def _report_lengths(data) -> list:
+    """(claims, shared presentation, status) per length.  Format 2 writes the
+    presentation at each length with claims, format 1 (no ``format``) and a
+    bare claims list in each claim (None here); any other layout is malformed."""
+    if "statuses" not in data:
+        if "format" in data:
+            raise ValueError("a bare claims list has no format")
+        return [(data["claims"], None, None)]
+    shared = "format" in data
+    if shared and data["format"] != REPORT_FORMAT:
+        raise ValueError(f"unknown report format {data['format']!r}")
+    out = []
+    for status in data["statuses"]:
+        claims = status["claims"]
+        mixed = any("presentation" in claim for claim in claims) if shared else "presentation" in status
+        if mixed:
+            raise ValueError(f"length {status.get('length')} mixes report formats")
+        pres = GroupPresentation.from_json(status["presentation"]) if shared and claims else None
+        out.append((claims, pres, status))
+    return out
+
+
 def cmd_verify_cert(args) -> int:
+    # a coset enumeration replays within --budget, whatever budget it records
+    budget = _parse_budget(args.budget)
     failures = 0
     checked = 0
     try:
         data = _load_json(args.report)
-        # a spectrum report files its claims by length, each under a status
-        if "statuses" in data:
-            lengths = [(status["claims"], status) for status in data["statuses"]]
-        else:
-            lengths = [(data["claims"], None)]
-        for claims, status in lengths:
+        lengths = _report_lengths(data)
+        for claims, shared, status in lengths:
             verdicts = []
             for claim in claims:
                 w = words.from_json(claim["word"])
-                pres = GroupPresentation.from_json(claim["presentation"])
+                pres = shared or GroupPresentation.from_json(claim["presentation"])
                 verdict = TriState.from_json(claim["verdict"])
                 checked += 1
                 verdicts.append(verdict.status)
                 cert = verdict.certificate
                 # a certificate proves something only about the word it carries
-                if (cert is not None and cert.word != w) or not verify_certificate(pres, verdict):
+                if (cert is not None and cert.word != w) or not verify_certificate(pres, verdict, budget):
                     failures += 1
                     sys.stderr.write(f"certificate failed for word {claim['word']}\n")
             # a length's status must be the one its claims give under the per-length rule
             if status and status["status"] != status_from_verdicts(verdicts, status["vacuous"]):
                 failures += 1
                 sys.stderr.write(f"status of length {status.get('length')} contradicts its claims\n")
-        taut = [s["length"] for _, s in lengths if s is not None and s["status"] == TAUT]
+        taut = [s["length"] for _, _, s in lengths if s is not None and s["status"] == TAUT]
         if data.get("taut_lengths", taut) != taut:
             failures += 1
             sys.stderr.write("taut_lengths disagrees with the statuses\n")
@@ -348,12 +369,9 @@ def cmd_verify_cert(args) -> int:
 
 
 def spectrum_claims(sp: Spectrum) -> dict:
-    """Certificate report for verify-cert from a computed spectrum."""
-    claims = []
-    for status in sp.statuses:
-        for claim in status.claims:
-            claims.append(claim.to_json())
-    return {"claims": claims}
+    """A bare claims list for verify-cert, each claim with its presentation."""
+    claims = [c for s in sp.statuses for c in s.claims]
+    return {"claims": [dict(c.to_json(), presentation=c.presentation.to_json()) for c in claims]}
 
 
 # ---------------------------------------------------------------------------

@@ -91,18 +91,16 @@ class SqrtRational:
         return -SqrtRational(-self.sign, self.square).floor()
 
     def simplified(self) -> tuple[Fraction, int]:
-        """(coefficient, radicand) with squarefree integer radicand."""
+        """(coefficient, radicand) with squarefree integer radicand: the least m
+        for which num*den/m is a square, found in m steps; m divides the small
+        ``sqrt_of`` arguments behind the number, however large its rational factors."""
         num, den = self.square.numerator, self.square.denominator
-        inner = num * den  # sqrt(num/den) = sqrt(num*den)/den
-        coeff = Fraction(self.sign, den)
-        outer = 1
-        d = 2
-        while d * d <= inner:
-            while inner % (d * d) == 0:
-                inner //= d * d
-                outer *= d
-            d += 1
-        return coeff * outer, inner
+        inner, m = num * den, 1
+        if not inner:
+            return Fraction(0), 0
+        while inner % m or math.isqrt(inner // m) ** 2 != inner // m:
+            m += 1
+        return Fraction(self.sign * math.isqrt(inner // m), den), m
 
     def __str__(self) -> str:
         coeff, rad = self.simplified()

@@ -53,6 +53,7 @@ from .words import Word
 
 TAUT = "taut"
 NOT_TAUT = "not_taut"
+REPORT_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -64,27 +65,29 @@ class TautClaim:
     state: TriState
 
     def to_json(self) -> dict:
-        return {
-            "word": words.to_json(self.word),
-            "presentation": self.presentation.to_json(),
-            "verdict": self.state.to_json(),
-        }
+        """The word and verdict; the presentation is written by the length."""
+        return {"word": words.to_json(self.word), "verdict": self.state.to_json()}
 
 
 @dataclass(frozen=True)
 class LengthStatus:
+    """A length's status and its claims, which share one presentation."""
+
     length: int
     status: str  # taut | not_taut | unknown
     claims: tuple[TautClaim, ...] = ()
     vacuous: bool = False  # NotTaut because no loops of this length exist
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "length": self.length,
             "status": self.status,
             "vacuous": self.vacuous,
             "claims": [c.to_json() for c in self.claims],
         }
+        if self.claims:
+            out["presentation"] = self.claims[0].presentation.to_json()
+        return out
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,9 @@ class Spectrum:
         return LengthSet.build(self.lengths(TAUT), horizon=self.horizon)
 
     def to_json(self) -> dict:
+        """Report format 2: each length with claims writes its presentation once."""
         return {
+            "format": REPORT_FORMAT,
             "horizon": self.horizon,
             "statuses": [s.to_json() for s in self.statuses],
         }
@@ -242,11 +247,15 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
     loops extends that of the last such length by the canonical forms of
     the loops in between, each loop put in that form once.  A loop's word
     is no longer than its cycle, so no form reaches the length.  Each word is
-    filed once on the core alphabet, for the relators, claims and engine."""
+    filed once on the core alphabet, for the relators, claims and engine,
+    under its form, and only the first loop of each form is kept: rotation
+    and inversion never change whether a word is trivial, so one claim per
+    cyclic word decides the length."""
     pairing = words.pairing_map(inverse_pairs)
-    filed: dict[int, list] = {}
+    filed: dict[int, dict[Word, tuple]] = {}  # cycle length -> form -> (word, cycle)
     for w, c in loops:
-        filed.setdefault(len(c), []).append((words.normalize(w, pairing), c))
+        w = words.normalize(w, pairing)
+        filed.setdefault(len(c), {}).setdefault(words.canonical_cyclic(w), (w, c))
     pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
     # each letter's signed index, the same in every grown presentation
     codes = {(g, e): pres.encode(words.normalize(((g, e),), pairing))[0] for g in gens for e in (1, -1)}
@@ -257,11 +266,11 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
         if l not in filed:
             out.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
             continue
-        forms = (words.canonical_cyclic(w) for n in range(done, l) for w, _ in filed.get(n, ()))
+        forms = (r for n in range(done, l) for r in filed.get(n, ()))
         new = [r for r in dict.fromkeys(forms) if r and r not in seen]
         seen.update(new)
         pres, done = pres.extended(new), l
-        out.append(_length_status(pres, codes, filed[l], l, budget, shortcuts))
+        out.append(_length_status(pres, codes, filed[l].values(), l, budget, shortcuts))
     return tuple(out)
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, replace
 from operator import add
 from typing import ClassVar, Sequence
 
@@ -67,6 +67,10 @@ class Budget:
     @classmethod
     def from_json(cls, data: dict) -> "Budget":
         return cls(**data)
+
+    def within(self, other: "Budget") -> "Budget":
+        """The field-wise minimum of this budget and ``other``."""
+        return Budget(*map(min, astuple(self), astuple(other)))
 
 
 @dataclass(frozen=True)
@@ -358,11 +362,11 @@ class NormalClosureDerivation:
 class CosetEnumerationCertificate:
     """Outcome of a deterministic completed enumeration.
 
-    Replay re-runs the enumeration under the recorded budget and checks that
-    the completed table matches the recorded size and hash, is internally
-    consistent, and sends the word to coset 0, which must be the recorded
-    coset.  The enumerator itself is the trusted kernel here; the fully
-    independent Proved route is the normal-closure derivation.
+    Replay re-runs the enumeration under the recorded budget, capped by the
+    checker's, and checks that the completed table matches the recorded size
+    and hash, is internally consistent, and sends the word to coset 0, which
+    must be the recorded coset.  The enumerator itself is the trusted kernel
+    here; the fully independent Proved route is the normal-closure derivation.
     """
 
     kind: ClassVar[str] = "coset_enumeration"
@@ -1073,15 +1077,18 @@ _REPLAY = {
 }
 
 
-def verify_certificate(pres: GroupPresentation, state: TriState) -> bool:
+def verify_certificate(pres: GroupPresentation, state: TriState, budget: Budget | None = None) -> bool:
     """Replay a Proved/Refuted certificate; Unknown verifies vacuously.
 
     The certificate's word is encoded over the presentation before any check,
     so a symbol outside it, or outside a homomorphism's payload, fails replay.
+    A coset enumeration reruns within both its recorded budget and ``budget``.
     """
     cert = state.certificate
     if state.unknown:
         return cert is None
+    if budget is not None and isinstance(cert, CosetEnumerationCertificate):
+        cert = replace(cert, budget=cert.budget.within(budget))
     verdict, check = _REPLAY.get(type(cert), (None, None))
     if state.status != verdict:
         return False

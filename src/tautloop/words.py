@@ -87,8 +87,10 @@ def canonical_cyclic(w: Word) -> Word:
     w = cyclic_reduce(w)
     if not w:
         return EMPTY
-    candidates = rotations(w) + rotations(invert(w))
-    return min(candidates)
+    # the least rotation begins with the least letter, so only those are built
+    both = (w, invert(w))
+    least = min(min(w), min(both[1]))
+    return min(v[i:] + v[:i] for v in both for i, x in enumerate(v) if x == least)
 
 
 def to_json(w: Word) -> list:

@@ -355,6 +355,26 @@ def test_build_ball_equals_the_reference(oracle_gens, radius):
     assert all(pairs == sorted(pairs, key=lambda t: t[0]) for pairs in nbrs.values())
 
 
+def test_ball_moves_once_per_involution(monkeypatch):
+    """Every generator of W(C5) is an involution, so after the centre's pass
+    each vertex makes one move per generator: the radius-3 ball with its rim,
+    61 vertices, takes 1 + 10 + 60 * 5 normal forms, not 1 + 61 * 10."""
+    c5 = graph("01234", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "0")])
+    oracle, calls = RacgOracle(c5), []
+    real = RacgOracle.normal_form
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(RacgOracle, "normal_form", counted)
+    ball = build_ball(oracle, list("01234"), 3)
+    assert (len(ball.vertices), len(calls)) == (61, 1 + 10 + 60 * 5)
+    monkeypatch.setattr(RacgOracle, "normal_form", real)
+    want = whole_ball_reference.build_ball(oracle, list("01234"), 3)
+    assert ball == want and ball.dumps() == want.dumps()
+
+
 @settings(max_examples=60, deadline=None)
 @given(oracle_gens=_random_oracles(), radius=st.integers(0, 3))
 def test_ball_vertex_word_is_its_parent_word_plus_one_letter(oracle_gens, radius):

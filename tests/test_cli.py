@@ -1,13 +1,16 @@
 import json
+import time
 
 import pytest
 
+from tautloop import words
 from tautloop.cayley import ZModOracle
 from tautloop.cli import main, spectrum_claims
 from tautloop.complexes import EdgeLoop, FlagComplex, OmegaSet
-from tautloop.presentations import build_P
+from tautloop.presentations import GroupPresentation, build_P
 from tautloop.spectrum import spectrum
-from tautloop.word_engine import Budget
+from tautloop.word_engine import PROVED, Budget, CosetEnumerationCertificate, TriState
+from tautloop.words import canonical_cyclic
 
 
 @pytest.fixture
@@ -178,6 +181,14 @@ def test_schedule_rejects_large_indices(files, capsys):
         main(["schedule", "--d", "1", "--beta", "4", "--f", "21"])
 
 
+def test_schedule_with_a_large_prime_C(files, capsys):
+    # the square root of C^2 is simplified without counting up to C
+    start = time.perf_counter()
+    code, out = run(["schedule", "--d", "1", "--beta", "4", "--C", "1000000007", "--nmax", "0"], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and json.loads(out)["intervals"][0]["lower"]["display"] == "1000000007"
+
+
 def test_kernel_search(files, capsys):
     code, out = run(
         [
@@ -242,16 +253,51 @@ def racg_c4_report(files, capsys):
         return path, json.load(fh)
 
 
+def _length(report, length):
+    return next(s for s in report["statuses"] if s["length"] == length)
+
+
 def _claim(report, length, index=0):
-    return next(s for s in report["statuses"] if s["length"] == length)["claims"][index]
+    return _length(report, length)["claims"][index]
 
 
-def test_verify_cert_reads_spectrum_report(racg_c4_report, capsys):
-    path, report = racg_c4_report
-    code, out = run(["verify-cert", path], capsys)
-    assert code == 0
+def _as_format1(report):
+    """A format-2 spectrum report in format 1: no format, and each claim
+    carries its length's presentation."""
+    statuses = [
+        dict(
+            {k: v for k, v in s.items() if k != "presentation"},
+            claims=[dict(c, presentation=s["presentation"]) for c in s["claims"]],
+        )
+        for s in report["statuses"]
+    ]
+    return dict({k: v for k, v in report.items() if k != "format"}, statuses=statuses)
+
+
+def _layouts(files, name, report):
+    """Paths of a format-2 spectrum report and of the same report in format 1."""
+    return [files["dump"](f"{name}.json", report), files["dump"](f"{name}-1.json", _as_format1(report))]
+
+
+def _one_claim(files, name, claim, presentation):
+    """Paths of a bare claims list holding one claim with its presentation, and
+    of a format-2 report holding it at one length, with the status it gives."""
+    status = {"refuted": "taut", "proved": "not_taut"}.get(claim["verdict"]["status"], "unknown")
+    length = {"length": 4, "status": status, "vacuous": False, "presentation": presentation, "claims": [claim]}
+    return [
+        files["dump"](f"{name}-1.json", {"claims": [dict(claim, presentation=presentation)]}),
+        files["dump"](f"{name}.json", {"format": 2, "statuses": [length]}),
+    ]
+
+
+def test_verify_cert_reads_spectrum_report(racg_c4_report, files, capsys):
+    _, report = racg_c4_report
+    assert report["format"] == 2
     n_claims = sum(len(s["claims"]) for s in report["statuses"])
-    assert json.loads(out) == {"checked": n_claims, "failures": 0}
+    for path in _layouts(files, "copy", report):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 0
+        assert json.loads(out) == {"checked": n_claims, "failures": 0}
 
 
 def test_verify_cert_rejects_swapped_claim_word(racg_c4_report, files, capsys):
@@ -259,31 +305,32 @@ def test_verify_cert_rejects_swapped_claim_word(racg_c4_report, files, capsys):
     proved, other = _claim(report, 6, 0), _claim(report, 6, 1)
     assert proved["word"] != other["word"]
     proved["word"] = other["word"]
-    claims = {"claims": [c for s in report["statuses"] for c in s["claims"]]}
-    code, out = run(["verify-cert", files["dump"]("swapped.json", claims)], capsys)
-    assert code == 1
-    assert json.loads(out)["failures"] == 1
+    claims = {"claims": [c for s in _as_format1(report)["statuses"] for c in s["claims"]]}
+    for path in _layouts(files, "swapped", report) + [files["dump"]("claims.json", claims)]:
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1
+        assert json.loads(out)["failures"] == 1
 
 
 def test_verify_cert_binds_free_reduction_to_its_word(racg_c4_report, files, capsys):
     _, report = racg_c4_report
-    taut = _claim(report, 4)
+    taut, pres = _claim(report, 4), _length(report, 4)["presentation"]
     bare = {"status": "proved", "certificate": {"type": "free_reduction"}}
-    forged = dict(taut, verdict=bare)
-    code, _ = run(["verify-cert", files["dump"]("bare.json", {"claims": [forged]})], capsys)
-    assert code == 2
+    for path in _one_claim(files, "bare", dict(taut, verdict=bare), pres):
+        assert run(["verify-cert", path], capsys)[0] == 2
     worded = {"status": "proved", "certificate": {"type": "free_reduction", "word": taut["word"]}}
-    forged = dict(taut, verdict=worded)
-    code, out = run(["verify-cert", files["dump"]("worded.json", {"claims": [forged]})], capsys)
-    assert code == 1 and json.loads(out)["failures"] == 1
+    for path in _one_claim(files, "worded", dict(taut, verdict=worded), pres):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out)["failures"] == 1
     cancelling = [["0", 1], ["1", 1], ["1", -1], ["0", -1]]
     honest = dict(
         taut,
         word=cancelling,
         verdict={"status": "proved", "certificate": {"type": "free_reduction", "word": cancelling}},
     )
-    code, out = run(["verify-cert", files["dump"]("honest.json", {"claims": [honest]})], capsys)
-    assert code == 0 and json.loads(out)["failures"] == 0
+    for path in _one_claim(files, "honest", honest, pres):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 0 and json.loads(out)["failures"] == 0
 
 
 def test_verify_cert_fails_a_certificate_outside_its_presentation(racg_c4_report, files, capsys):
@@ -292,8 +339,9 @@ def test_verify_cert_fails_a_certificate_outside_its_presentation(racg_c4_report
     foreign = [["zz", 1]]
     witness = dict(taut["verdict"]["certificate"], word=foreign)
     forged = dict(taut, word=foreign, verdict={"status": "refuted", "certificate": witness})
-    code, out = run(["verify-cert", files["dump"]("foreign.json", {"claims": [forged]})], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+    for path in _one_claim(files, "foreign", forged, _length(report, 4)["presentation"]):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
 def test_verify_cert_fails_a_quotient_witness_with_a_forged_degree(racg_c4_report, files, capsys):
@@ -301,8 +349,9 @@ def test_verify_cert_fails_a_quotient_witness_with_a_forged_degree(racg_c4_repor
     taut = _claim(report, 4)
     witness = dict(taut["verdict"]["certificate"], degree=10**20)
     forged = dict(taut, verdict={"status": "refuted", "certificate": witness})
-    code, out = run(["verify-cert", files["dump"]("degree.json", {"claims": [forged]})], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+    for path in _one_claim(files, "degree", forged, _length(report, 4)["presentation"]):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
 def test_verify_cert_fails_cancelling_symbols_outside_its_presentation(racg_c4_report, files, capsys):
@@ -313,8 +362,9 @@ def test_verify_cert_fails_cancelling_symbols_outside_its_presentation(racg_c4_r
         word=cancelling,
         verdict={"status": "proved", "certificate": {"type": "free_reduction", "word": cancelling}},
     )
-    code, out = run(["verify-cert", files["dump"]("cancelling.json", {"claims": [forged]})], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+    for path in _one_claim(files, "cancelling", forged, _length(report, 4)["presentation"]):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
 @pytest.mark.parametrize("payload", [{}, {"vertices": ["0", "1"], "edges": [["0", "9"]]}])
@@ -322,9 +372,24 @@ def test_verify_cert_fails_a_hom_image_witness_with_a_malformed_payload(files, c
     pres = build_P(FlagComplex.from_json(_load(files["c4"])), OmegaSet((EdgeLoop(("0", "1", "2", "3")),)), {0})
     word = [["e:0:1", 1]]
     witness = {"type": "hom_image", "hom_kind": "bb", "payload": payload, "word": word, "image": [["0", 1], ["1", -1]]}
-    claim = {"word": word, "presentation": pres.to_json(), "verdict": {"status": "refuted", "certificate": witness}}
-    code, out = run(["verify-cert", files["dump"]("payload.json", {"claims": [claim]})], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+    claim = {"word": word, "verdict": {"status": "refuted", "certificate": witness}}
+    for path in _one_claim(files, "payload", claim, pres.to_json()):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+
+
+def test_verify_cert_replays_an_enumeration_within_its_own_budget(files, capsys):
+    # a forged budget of 10^9 cosets: replay stops at the checker's budget,
+    # where the commutator group's table cannot complete
+    a, b = ("a", 1), ("b", 1)
+    pres = GroupPresentation.build(["a", "b"], [(a, b, ("a", -1), ("b", -1))])
+    forged = CosetEnumerationCertificate(Budget(10**9, 10**9, 3), 1, "0" * 64, (a,), 0)
+    claim = {"word": [["a", 1]], "verdict": TriState(PROVED, forged).to_json()}
+    for path in _one_claim(files, "budget", claim, pres.to_json()):
+        start = time.perf_counter()
+        code, out = run(["verify-cert", path], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
 def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):
@@ -336,6 +401,19 @@ def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):
         assert json.load(fh)["taut_lengths"] == [4]
     code, out = run(["verify-cert", path], capsys)
     assert code == 0 and json.loads(out) == {"checked": 1 + 15 + 150, "failures": 0}
+
+
+def test_raag_c4_spectrum_to_six_round_trips(files, capsys):
+    # one claim per cyclic word: the 144 six-loops are 24 words
+    path = str(files["dir"] / "raag.json")
+    argv = ["spectrum", "--oracle", "raag", "--complex", files["c4"], "--horizon", "6"]
+    assert run(argv + ["--out", path], capsys)[0] == 0
+    report = _load(path)
+    assert report["taut_lengths"] == [4]
+    assert [len(s["claims"]) for s in report["statuses"]] == [0, 1, 0, 24]
+    assert ["presentation" in s for s in report["statuses"]] == [False, True, False, True]
+    code, out = run(["verify-cert", path], capsys)
+    assert code == 0 and json.loads(out) == {"checked": 25, "failures": 0}
 
 
 @pytest.fixture
@@ -359,21 +437,63 @@ def test_verify_cert_rejects_swapped_statuses(files, capsys, racg_c5_report):
     for status in racg_c5_report["statuses"]:
         status["status"] = swap[status["status"]]
     racg_c5_report["taut_lengths"] = [3, 5, 6]
-    code, out = run(["verify-cert", files["dump"]("swapped.json", racg_c5_report)], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 16, "failures": 4}
+    for path in _layouts(files, "swapped", racg_c5_report):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 16, "failures": 4}
 
 
 def test_verify_cert_rejects_a_taut_length_without_its_refuted_claim(files, capsys, racg_c5_report):
-    four = next(s for s in racg_c5_report["statuses"] if s["length"] == 4)
+    four = _length(racg_c5_report, 4)
     four["claims"] = [c for c in four["claims"] if c["verdict"]["status"] != "refuted"]
-    code, out = run(["verify-cert", files["dump"]("deleted.json", racg_c5_report)], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 15, "failures": 1}
+    for path in _layouts(files, "deleted", racg_c5_report):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 15, "failures": 1}
 
 
 def test_verify_cert_rejects_taut_lengths_that_disagree(files, capsys, racg_c5_report):
     racg_c5_report["taut_lengths"] = [4, 6]
-    code, out = run(["verify-cert", files["dump"]("lengths.json", racg_c5_report)], capsys)
-    assert code == 1 and json.loads(out) == {"checked": 16, "failures": 1}
+    for path in _layouts(files, "lengths", racg_c5_report):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 16, "failures": 1}
+
+
+def test_verify_cert_fails_the_shortcut_claims_of_a_length_without_their_piece(files, capsys, racg_c5_report):
+    # every six-loop of C5 is proved by a derivation whose first insertion is a
+    # square; drop that square from the length's presentation, and exactly the
+    # claims that insert it fail
+    six = _length(racg_c5_report, 6)
+    piece = canonical_cyclic(words.from_json(six["claims"][0]["verdict"]["certificate"]["steps"][0][1]))
+    relators = [r for r in six["presentation"]["relators"] if canonical_cyclic(words.from_json(r)) != piece]
+    assert len(relators) == len(six["presentation"]["relators"]) - 1
+    six["presentation"]["relators"] = relators
+    uses = [
+        any(canonical_cyclic(words.from_json(ins)) == piece for _, ins in c["verdict"]["certificate"]["steps"])
+        for c in six["claims"]
+    ]
+    assert 0 < sum(uses) < len(uses)
+    code, out = run(["verify-cert", files["dump"]("piece.json", racg_c5_report)], capsys)
+    assert code == 1 and json.loads(out) == {"checked": 16, "failures": sum(uses)}
+
+
+@pytest.mark.parametrize("forge", [
+    lambda r: r.update(format=1),
+    lambda r: r.update(format="2"),
+    lambda r: r.update(format=3),
+    lambda r: r.pop("format"),
+    lambda r: _claim(r, 6).update(presentation=_length(r, 6)["presentation"]),
+    lambda r: _length(r, 4).pop("presentation"),
+    lambda r: r.update(claims=[c for s in r.pop("statuses") for c in s["claims"]]),
+], ids=["format-1", "format-string", "format-3", "no-format", "claim-presentation", "no-presentation", "claims-list"])
+def test_verify_cert_rejects_a_report_of_a_bad_or_mixed_format(files, capsys, racg_c5_report, forge):
+    """A format other than 2, a format-2 claim with its own presentation, a
+    length with claims and no presentation, a report without a format whose
+    lengths carry presentations, and a bare claims list with a format are
+    each malformed."""
+    forge(racg_c5_report)
+    code = main(["verify-cert", files["dump"]("mixed.json", racg_c5_report)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ from tautloop.schedule import (
     schedule_report,
 )
 
+import trial_division_sqrt
+
 
 def rat(p, q=1):
     return SqrtRational.of_ratio(p, q)
@@ -72,6 +74,24 @@ def test_sqrt_rational_simplified_and_str():
     assert SqrtRational.sqrt_of(9, 4).is_rational() is True
     data = SqrtRational.sqrt_of(2).to_json()
     assert data == {"sign": 1, "square": "2/1", "display": "sqrt(2)"}
+
+
+def test_simplified_equals_trial_division_on_seeded_values():
+    """Products of small square roots and of rationals with large factors,
+    against the trial-division reference, zero included."""
+    rng = random.Random(1805)
+    for _ in range(400):
+        x = SqrtRational.sqrt_of(rng.randrange(0, 60), rng.randrange(1, 60))
+        x = x * SqrtRational.sqrt_of(rng.randrange(1, 30), rng.randrange(1, 30))
+        x = x.scale(Fraction(rng.choice([-1, 1]) * rng.randrange(1, 10**4), rng.randrange(1, 10**3)))
+        assert x.simplified() == trial_division_sqrt.simplified(x.sign, x.square)
+
+
+def test_simplified_does_not_count_up_to_a_large_prime():
+    # alpha * C for d = 1 and the prime C: trial division would count to C
+    c = 1_000_000_007
+    assert alpha_of(1).scale(c).simplified() == (Fraction(c), 1)
+    assert alpha_of(2).scale(c * c).simplified() == (Fraction(c * c, 3), 6)
 
 
 @settings(max_examples=200)

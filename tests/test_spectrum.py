@@ -45,6 +45,7 @@ from tautloop.word_engine import (
 )
 from tautloop.words import canonical_cyclic
 
+import per_loop_spectrum
 import whole_ball_reference
 
 spectrum_mod = sys.modules["tautloop.spectrum"]
@@ -305,49 +306,83 @@ PENTAGON_WITH_CHORD = graph("01234", [("0", "1"), ("1", "2"), ("2", "3"), ("3", 
 C4_EDGE_GENS = [edge_symbol(u, v) for u, v in cycle_graph(4).sorted_edges()]
 
 
-# SHA-256 of Spectrum.dumps() and of pi1_presentation(...).dumps(), computed
-# while the per-length rule still took bare loop words and pi1_presentation
-# still rewrote its triangles itself
-@pytest.mark.parametrize("text, sha", [
-    (lambda: spectrum_of_graph(generalized_petersen(5, 2), 10).dumps(),
-     "e1cda1b6bca2b2f82b8b48c746fe4affba90035c087c5440d51b87786e326f3d"),
-    (lambda: spectrum_of_graph(HEAWOOD, 10).dumps(),
-     "c0c1e04f29c5f2542d9c1d94a98afc4a8fc69e3c59020b00cad1dc6ad5c165d6"),
-    (lambda: spectrum_of_graph(generalized_petersen(8, 3), 10).dumps(),
-     "bf00346465cacde255cb1676d0def40ca234be7993e88035d828f38e7485105c"),
-    (lambda: spectrum_of_graph(CUBE, 10).dumps(),
-     "3b2f59098e500fa2c98273a631ccc1c2a103693a185cedc2afccf814da3c4152"),
-    (lambda: spectrum_of_graph(complete_graph(4), 8).dumps(),
-     "aee02a4d42057fff3ea1ade742bc909bee0e0619b3db997b07e537076ef1fdaa"),
-    (lambda: spectrum_of_graph(K33, 8).dumps(),
-     "5e37d1b4417ba2e7beb058bb62aab12075ffe68d895c434ea282007fcf14caad"),
-    (lambda: spectrum_of_graph(THETA, 8).dumps(),
-     "acf4852f2a5127c8b75f830287c82f8ae7aa2373757cf27cc36d916b0e3e993c"),
-    (lambda: spectrum(RacgOracle(cycle_graph(4)), list("0123"), 7).dumps(),
-     "7f60e382798f4a537f4802f13e8a2946c74632bac67dbfebcd48c72ca4b4a84a"),
-    (lambda: spectrum(RacgOracle(cycle_graph(5)), list("01234"), 7).dumps(),
-     "557cbc2b4f6a4d13f48ff95ec6d3c76052b321f32b6fc272c156421b612ce2e3"),
-    (lambda: spectrum(RacgOracle(P4), list("0123"), 7).dumps(),
-     "fb3bfb7b38ba9a8e2df513653dbfaf6f0a4f5d0ed1cb46232336dca2fb6f4501"),
-    (lambda: spectrum(RaagOracle(flag_completion(cycle_graph(4))), list("0123"), 6).dumps(),
-     "f9bdcba31c6a441192753ab8466a89cae73def23502e7dfe235267e877becaad"),
-    (lambda: spectrum(BBOracle(flag_completion(cycle_graph(4))), C4_EDGE_GENS, 6).dumps(),
-     "6b69fbb6ca9632b9e15a7745525123588127694a5349fd139053ed62f814a77c"),
-    (lambda: pi1_presentation(flag_completion(cycle_graph(4))).dumps(),
-     "bf50521d3a8f383c8923df3abd099b69397e226c44a301de1ed6649ee5537730"),
-    (lambda: pi1_presentation(flag_completion(K33)).dumps(),
-     "a17bb5958100f0460d361b6dc54ae75cc4b8025688d1804c46feb82cd2d65eb7"),
-    (lambda: pi1_presentation(flag_completion(OCTAHEDRON)).dumps(),
-     "f8f38b7020934ca724bd24b5eb7df9130134a6572d2ffaec26f9d3f213d1cc8d"),
-    (lambda: pi1_presentation(flag_completion(PENTAGON_WITH_CHORD)).dumps(),
-     "0abd6e6c397d3b4a9918276a6ff19cd37e7c7ca7e2fd4b0e418d1ce8246312c0"),
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def assert_derived_bytes(make, old_sha, new_sha):
+    """The spectrum that ``make`` computes, in report format 2, equals the
+    per-loop reference's format-1 report, pinned at ``old_sha``, with the later
+    claims of each repeated cyclic word dropped and each length's presentation
+    moved up to the length; its own bytes are pinned at ``new_sha``."""
+    with per_loop_spectrum.per_loop():
+        reference = per_loop_spectrum.format1(make())
+    assert _sha(per_loop_spectrum.dumps(reference)) == old_sha
+    text = make().dumps()
+    assert text == per_loop_spectrum.dumps(per_loop_spectrum.to_format2(reference))
+    assert _sha(text) == new_sha
+
+
+# For a spectrum: the SHA-256 of the per-loop reference's format-1 report,
+# computed while the per-length rule still took bare loop words, and that of
+# the format-2 Spectrum.dumps() derived from it.  For pi1_presentation(...):
+# the SHA-256 of its dumps(), computed while it still rewrote its triangles
+# itself.
+@pytest.mark.parametrize("make, shas", [
+    (lambda: spectrum_of_graph(generalized_petersen(5, 2), 10),
+     ("e1cda1b6bca2b2f82b8b48c746fe4affba90035c087c5440d51b87786e326f3d",
+      "a37f1bfe0bfff7abac8efa4a8cf82b659b82428d608779c1cfb0d626dbd42f28")),
+    (lambda: spectrum_of_graph(HEAWOOD, 10),
+     ("c0c1e04f29c5f2542d9c1d94a98afc4a8fc69e3c59020b00cad1dc6ad5c165d6",
+      "9f2b9d9f21aa9a79cff09fb767e5c25a963d19dc1c49be31f6322300f4801434")),
+    (lambda: spectrum_of_graph(generalized_petersen(8, 3), 10),
+     ("bf00346465cacde255cb1676d0def40ca234be7993e88035d828f38e7485105c",
+      "9ae241667f152e43b2e004a0637090d606bb2a7c0eb2347ae673bf7daadd29e9")),
+    (lambda: spectrum_of_graph(CUBE, 10),
+     ("3b2f59098e500fa2c98273a631ccc1c2a103693a185cedc2afccf814da3c4152",
+      "a7f2e98962d1bd1b965c3a77a876f8b4dde42d89f01dc15ce1a5b3a2d7058cf3")),
+    (lambda: spectrum_of_graph(complete_graph(4), 8),
+     ("aee02a4d42057fff3ea1ade742bc909bee0e0619b3db997b07e537076ef1fdaa",
+      "e745e0ea286e0ca442624de31612463665535006d1189630073f609a6fc1cf3f")),
+    (lambda: spectrum_of_graph(K33, 8),
+     ("5e37d1b4417ba2e7beb058bb62aab12075ffe68d895c434ea282007fcf14caad",
+      "559776c4b1fd4a6b68e7816e712c79b90b3d608f4b73d9a3b2a40841572316fa")),
+    (lambda: spectrum_of_graph(THETA, 8),
+     ("acf4852f2a5127c8b75f830287c82f8ae7aa2373757cf27cc36d916b0e3e993c",
+      "b09bf1af6e5e651d29df6a51c3ca2622d63bccef8faac2a062e3446a99e3a647")),
+    (lambda: spectrum(RacgOracle(cycle_graph(4)), list("0123"), 7),
+     ("7f60e382798f4a537f4802f13e8a2946c74632bac67dbfebcd48c72ca4b4a84a",
+      "5ece6c69ebff1a5c8be9e093b2d10914b7d33725cc35fd269e7933954887a75d")),
+    (lambda: spectrum(RacgOracle(cycle_graph(5)), list("01234"), 7),
+     ("557cbc2b4f6a4d13f48ff95ec6d3c76052b321f32b6fc272c156421b612ce2e3",
+      "d14b1309e770e067d4bd86c69dcaadfe786fb5de4b653b1352dc8764f5f4419f")),
+    (lambda: spectrum(RacgOracle(P4), list("0123"), 7),
+     ("fb3bfb7b38ba9a8e2df513653dbfaf6f0a4f5d0ed1cb46232336dca2fb6f4501",
+      "ce5337acaee436a23d559f32e51ac66e131d38083cf1bc80761a3a277dab66d6")),
+    (lambda: spectrum(RaagOracle(flag_completion(cycle_graph(4))), list("0123"), 6),
+     ("f9bdcba31c6a441192753ab8466a89cae73def23502e7dfe235267e877becaad",
+      "1f4e0f8b71bf7fb1a7285762dff6c32461f066c351f1cd8141c0eb005a4935da")),
+    (lambda: spectrum(BBOracle(flag_completion(cycle_graph(4))), C4_EDGE_GENS, 6),
+     ("6b69fbb6ca9632b9e15a7745525123588127694a5349fd139053ed62f814a77c",
+      "8b5fb151377ffa39d4e462a2b11c3bb381c67f6165aadaa5dd0bec97657cbc5c")),
+    (lambda: pi1_presentation(flag_completion(cycle_graph(4))),
+     ("bf50521d3a8f383c8923df3abd099b69397e226c44a301de1ed6649ee5537730",)),
+    (lambda: pi1_presentation(flag_completion(K33)),
+     ("a17bb5958100f0460d361b6dc54ae75cc4b8025688d1804c46feb82cd2d65eb7",)),
+    (lambda: pi1_presentation(flag_completion(OCTAHEDRON)),
+     ("f8f38b7020934ca724bd24b5eb7df9130134a6572d2ffaec26f9d3f213d1cc8d",)),
+    (lambda: pi1_presentation(flag_completion(PENTAGON_WITH_CHORD)),
+     ("0abd6e6c397d3b4a9918276a6ff19cd37e7c7ca7e2fd4b0e418d1ce8246312c0",)),
 ], ids=[
     "petersen-10", "heawood-10", "mobius-kantor-10", "cube-10", "K4-8", "K33-8", "theta-8",
     "racg-c4-7", "racg-c5-7", "racg-p4-7", "raag-c4-6", "bb-c4-6",
     "pi1-c4", "pi1-K33", "pi1-octahedron", "pi1-pentagon-chord",
 ])
-def test_frozen_spectrum_bytes(text, sha):
-    assert hashlib.sha256(text().encode()).hexdigest() == sha
+def test_frozen_spectrum_bytes(make, shas):
+    if len(shas) == 2:
+        assert_derived_bytes(make, *shas)
+    else:
+        assert _sha(make().dumps()) == shas[0]
 
 
 def test_raag_c4_spectrum_to_eight(engine_words):
@@ -355,8 +390,22 @@ def test_raag_c4_spectrum_to_eight(engine_words):
     # of the loop enumeration, and every claim replays
     c4 = cycle_graph(4)
     sp = spectrum(RaagOracle(flag_completion(c4)), list(c4.vertices), 8)
-    assert_statuses(sp, {4: (TAUT, 1), 6: (NOT_TAUT, 144), 8: (NOT_TAUT, 3184)}, engine_words)
+    # one claim per cyclic word: 144 loops and 24 words at 6, 3,184 and 424 at 8
+    assert_statuses(sp, {4: (TAUT, 1), 6: (NOT_TAUT, 24), 8: (NOT_TAUT, 424)}, engine_words)
     assert len(engine_words) == 1
+
+
+@pytest.mark.parametrize("name", ["raag-c4", "bb-c4", "coset-pair"])
+def test_a_length_claims_each_cyclic_word_once_over_one_presentation(name):
+    """No two claims of a length share a canonical cyclic form, and in memory
+    every claim of a length holds the one presentation its report writes."""
+    oracle, gens, pairs, horizon = _grown_case(name)
+    sp = spectrum(oracle, gens, horizon, BUDGET, pairs)
+    for s in sp.statuses:
+        forms = [canonical_cyclic(c.word) for c in s.claims]
+        assert len(set(forms)) == len(forms)
+        assert all(c.presentation is s.claims[0].presentation for c in s.claims)
+        assert s.to_json().get("presentation") == (s.claims[0].presentation.to_json() if s.claims else None)
 
 
 def test_shortcut_derivation_needs_the_piece_relator():
@@ -405,7 +454,7 @@ def test_spectrum_over_a_pair_in_either_order_replays(gens):
     sp = _s3_with_a_pair(gens)
     assert sp.lengths() == (3, 4)
     claims = [c for s in sp.statuses for c in s.claims]
-    assert len(claims) == 11
+    assert len(claims) == 6  # the 11 loops are 6 cyclic words
     assert all(verify_certificate(c.presentation, c.state) for c in claims)
 
 
@@ -418,9 +467,10 @@ def test_free_oracle_and_spectrum_refuse_a_malformed_pairing(pairs):
 
 
 def test_spectrum_over_a_pair_with_the_kept_member_first_keeps_its_bytes():
-    text = _s3_with_a_pair(["A", "a", "b"]).dumps()
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "38120fc88a025a585d7c009c5d040e049ba3429aad31587c32f5f083929d7b0c"
+    assert_derived_bytes(
+        lambda: _s3_with_a_pair(["A", "a", "b"]),
+        "38120fc88a025a585d7c009c5d040e049ba3429aad31587c32f5f083929d7b0c",
+        "a2f2f5f09fd50d43f0a23b47040a23d98e0f6ad23db304469c8718e95571b587",
     )
 
 

@@ -594,6 +594,19 @@ def test_coset_enumeration_replay_fails_a_forged_table(forged):
     assert verify_certificate(S3_ORDER_3, _s3_enumeration(w("a a a"), **forged)) is False
 
 
+def test_coset_enumeration_replays_within_the_checkers_budget():
+    """Replay runs under the field-wise minimum of the recorded budget and the
+    checker's; with no budget given it runs under the recorded one."""
+    honest = _s3_enumeration(w("a a a"), budget=Budget(10**9, 10**9, 3))
+    assert verify_certificate(S3_ORDER_3, honest)
+    assert verify_certificate(S3_ORDER_3, honest, Budget())
+    assert verify_certificate(S3_ORDER_3, honest, Budget(max_cosets=3)) is False
+    assert Budget(5, 10, 3).within(Budget(7, 2, 1)) == Budget(5, 2, 1)
+    with mock.patch.object(word_engine, "todd_coxeter", wraps=word_engine.todd_coxeter) as tc:
+        verify_certificate(S3_ORDER_3, honest, Budget(max_cosets=50))
+    assert tc.call_args.args[2] == Budget(50, 200_000, 3)
+
+
 def _p_c4():
     c4 = flag_completion(
         SimpleGraph.build("0123", [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")])

@@ -86,3 +86,12 @@ def test_json_round_trip(u):
 def test_canonical_cyclic_is_a_fixed_point(u):
     c = words.canonical_cyclic(u)
     assert words.canonical_cyclic(c) == c
+
+
+@given(word_st)
+def test_canonical_cyclic_is_the_least_of_all_rotations(u):
+    # the least rotation of the cyclic reduction, either way round, with
+    # every rotation built
+    r = words.cyclic_reduce(u)
+    want = min(words.rotations(r) + words.rotations(words.invert(r))) if r else ()
+    assert words.canonical_cyclic(u) == want
