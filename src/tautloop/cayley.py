@@ -207,15 +207,16 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
     verts = [BallVertex(0, (), 0)]
     letters: dict[tuple[int, int], Word] = {}  # (u, v), u < v -> letter read from u to v
     frontier = [0]
+    reached = []  # the centre's key after each move
     # the last pass, if any, only adds the edges among frontier vertices
     for dist in range(1, radius + 1 + _rim):
         nxt = []
         for vid in frontier:
             start, word = keys[vid], verts[vid].word
-            reached = []
             for mv in moves:
                 key = oracle.normal_form(mv, start)
-                reached.append(key)
+                if not vid:
+                    reached.append(key)
                 other = key_to_id.get(key)
                 if other is None:
                     if dist > radius:

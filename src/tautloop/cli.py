@@ -333,10 +333,10 @@ def _report_lengths(data) -> list:
 
 
 def cmd_verify_cert(args) -> int:
-    # a coset enumeration replays within --budget, whatever budget it records
+    # a coset enumeration replays within --budget, whatever budget it records;
+    # one that runs out of a --budget below its own is inconclusive (exit 3)
     budget = _parse_budget(args.budget)
-    failures = 0
-    checked = 0
+    failures = inconclusive = checked = 0
     try:
         data = _load_json(args.report)
         lengths = _report_lengths(data)
@@ -350,7 +350,11 @@ def cmd_verify_cert(args) -> int:
                 verdicts.append(verdict.status)
                 cert = verdict.certificate
                 # a certificate proves something only about the word it carries
-                if (cert is not None and cert.word != w) or not verify_certificate(pres, verdict, budget):
+                replayed = (cert is None or cert.word == w) and verify_certificate(pres, verdict, budget)
+                if replayed is None:
+                    inconclusive += 1
+                    sys.stderr.write(f"certificate not replayed within --budget for word {claim['word']}\n")
+                elif not replayed:
                     failures += 1
                     sys.stderr.write(f"certificate failed for word {claim['word']}\n")
             # a length's status must be the one its claims give under the per-length rule
@@ -364,8 +368,9 @@ def cmd_verify_cert(args) -> int:
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
         sys.stderr.write(f"malformed report {args.report}: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE
-    _emit({"checked": checked, "failures": failures}, args.out)
-    return EXIT_OK if failures == 0 else EXIT_REFUTED
+    undecided = {"inconclusive": inconclusive} if inconclusive else {}  # within --budget
+    _emit({"checked": checked, "failures": failures, **undecided}, args.out)
+    return EXIT_REFUTED if failures else EXIT_BUDGET if inconclusive else EXIT_OK
 
 
 def spectrum_claims(sp: Spectrum) -> dict:

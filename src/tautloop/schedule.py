@@ -91,16 +91,23 @@ class SqrtRational:
         return -SqrtRational(-self.sign, self.square).floor()
 
     def simplified(self) -> tuple[Fraction, int]:
-        """(coefficient, radicand) with squarefree integer radicand: the least m
-        for which num*den/m is a square, found in m steps; m divides the small
-        ``sqrt_of`` arguments behind the number, however large its rational factors."""
+        """(coefficient, radicand) with squarefree radicand m, the least for
+        which num*den/m is a square.  One counter k tries k as m and strips k^2
+        from num*den; the first to finish gives m, so neither a large radicand
+        nor a large square factor alone makes the loop long."""
         num, den = self.square.numerator, self.square.denominator
-        inner, m = num * den, 1
+        inner = rest = num * den
         if not inner:
             return Fraction(0), 0
-        while inner % m or math.isqrt(inner // m) ** 2 != inner // m:
-            m += 1
-        return Fraction(self.sign * math.isqrt(inner // m), den), m
+        k = 1
+        while inner % k or math.isqrt(inner // k) ** 2 != inner // k:
+            k += 1
+            while rest % (k * k) == 0:
+                rest //= k * k
+            if k * k > rest:  # no square d^2 > 1 divides rest, as d < k was stripped
+                k = rest
+                break
+        return Fraction(self.sign * math.isqrt(inner // k), den), k
 
     def __str__(self) -> str:
         coeff, rad = self.simplified()

@@ -234,8 +234,20 @@ def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_
     ball = cayley.build_ball(oracle, gens, max(horizon, 0) // 2, _rim=horizon % 2 == 1)
     loops = cayley.closed_loops(ball, horizon, ball.center)
     shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
-    pairs = list(zip(loops.words, loops.vertex_cycles))
+    pairs = _one_loop_per_cyclic_word(zip(loops.words, loops.vertex_cycles), inverse_pairs)
     return _statuses(gens, inverse_pairs, pairs, lengths, budget, shortcuts)
+
+
+def _one_loop_per_cyclic_word(loops, inverse_pairs) -> list:
+    """The first (word, vertex cycle) pair of each length and cyclic word on
+    the core alphabet.  A cyclic word closes at a ball's centre once per
+    rotation and orientation, neither of which changes whether it is trivial;
+    a graph's closed walks are already one per cyclic word."""
+    pairing = words.pairing_map(inverse_pairs)
+    kept: dict[tuple[int, Word], tuple] = {}
+    for w, c in loops:
+        kept.setdefault((len(c), words.canonical_cyclic(words.normalize(w, pairing))), (w, c))
+    return list(kept.values())
 
 
 def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
@@ -247,15 +259,11 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
     loops extends that of the last such length by the canonical forms of
     the loops in between, each loop put in that form once.  A loop's word
     is no longer than its cycle, so no form reaches the length.  Each word is
-    filed once on the core alphabet, for the relators, claims and engine,
-    under its form, and only the first loop of each form is kept: rotation
-    and inversion never change whether a word is trivial, so one claim per
-    cyclic word decides the length."""
+    filed once on the core alphabet, for the relators, claims and engine."""
     pairing = words.pairing_map(inverse_pairs)
-    filed: dict[int, dict[Word, tuple]] = {}  # cycle length -> form -> (word, cycle)
+    filed: dict[int, list] = {}
     for w, c in loops:
-        w = words.normalize(w, pairing)
-        filed.setdefault(len(c), {}).setdefault(words.canonical_cyclic(w), (w, c))
+        filed.setdefault(len(c), []).append((words.normalize(w, pairing), c))
     pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
     # each letter's signed index, the same in every grown presentation
     codes = {(g, e): pres.encode(words.normalize(((g, e),), pairing))[0] for g in gens for e in (1, -1)}
@@ -266,11 +274,11 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
         if l not in filed:
             out.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
             continue
-        forms = (r for n in range(done, l) for r in filed.get(n, ()))
+        forms = (words.canonical_cyclic(w) for n in range(done, l) for w, _ in filed.get(n, ()))
         new = [r for r in dict.fromkeys(forms) if r and r not in seen]
         seen.update(new)
         pres, done = pres.extended(new), l
-        out.append(_length_status(pres, codes, filed[l].values(), l, budget, shortcuts))
+        out.append(_length_status(pres, codes, filed[l], l, budget, shortcuts))
     return tuple(out)
 
 

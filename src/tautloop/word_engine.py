@@ -1044,7 +1044,7 @@ def _verify_enumeration(pres: GroupPresentation, codes, cert: CosetEnumerationCe
         return False
     table = todd_coxeter(pres, (), cert.budget)
     if not isinstance(table, CosetTable):
-        return False
+        return None  # out of budget: verify_certificate decides what that means
     if len(table.rows) != cert.n_cosets or table.content_hash() != cert.table_hash:
         return False
     if not _verify_table_consistency(pres, table):
@@ -1077,22 +1077,28 @@ _REPLAY = {
 }
 
 
-def verify_certificate(pres: GroupPresentation, state: TriState, budget: Budget | None = None) -> bool:
+def verify_certificate(pres: GroupPresentation, state: TriState, budget: Budget | None = None) -> bool | None:
     """Replay a Proved/Refuted certificate; Unknown verifies vacuously.
 
     The certificate's word is encoded over the presentation before any check,
     so a symbol outside it, or outside a homomorphism's payload, fails replay.
-    A coset enumeration reruns within both its recorded budget and ``budget``.
+    A coset enumeration reruns within both its recorded budget and ``budget``;
+    out of a ``budget`` below the recorded one it decides nothing (None), as
+    a forged budget and an honest larger one look the same from here.
     """
     cert = state.certificate
     if state.unknown:
         return cert is None
-    if budget is not None and isinstance(cert, CosetEnumerationCertificate):
-        cert = replace(cert, budget=cert.budget.within(budget))
     verdict, check = _REPLAY.get(type(cert), (None, None))
     if state.status != verdict:
         return False
+    capped = cert
+    if budget is not None and isinstance(cert, CosetEnumerationCertificate):
+        capped = replace(cert, budget=cert.budget.within(budget))
     try:
-        return check(pres, pres.encode(cert.word), cert)
+        replayed = check(pres, pres.encode(cert.word), capped)
     except (PresentationError, normal_forms.NormalFormError):
         return False
+    if replayed is None:  # the enumeration ran out of its budget
+        return None if capped != cert else False
+    return replayed

@@ -1,12 +1,13 @@
 """Reference per-loop spectrum and report format 1, kept for the tests.
 
-``_statuses`` is the earlier body of ``spectrum._statuses``: it claims every
-loop of a length, one claim per rotation of a cyclic word.  ``format1`` is
-the earlier report writer, which wrote each claim's presentation into the
-claim.  ``to_format2`` turns such a report into the one the library writes
-now, in two steps: it drops the later claims of each repeated cyclic word,
-then moves each length's shared presentation up to the length.  The
-library's ``Spectrum.dumps()`` must equal that, byte for byte.
+``per_loop`` runs the library with every loop of a length claimed, one claim
+per rotation of a cyclic word, as the library did before it kept one loop
+per cyclic word.  ``format1`` is the earlier report writer, which wrote each
+claim's presentation into the claim.  ``to_format2`` turns such a report
+into the one the library writes now, in two steps: it drops the later claims
+of each repeated cyclic word, then moves each length's shared presentation
+up to the length.  The library's ``Spectrum.dumps()`` must equal that, byte
+for byte.
 """
 
 from __future__ import annotations
@@ -17,39 +18,14 @@ import sys
 from unittest import mock
 
 from tautloop import words
-from tautloop.presentations import truncated_presentation
-from tautloop.spectrum import NOT_TAUT, LengthStatus, _length_status
-from tautloop.words import Word
 
 spectrum_mod = sys.modules["tautloop.spectrum"]
 
 
-def _statuses(gens, inverse_pairs, loops, lengths, budget, shortcuts):
-    pairing = words.pairing_map(inverse_pairs)
-    filed: dict[int, list] = {}
-    for w, c in loops:
-        filed.setdefault(len(c), []).append((words.normalize(w, pairing), c))
-    pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
-    codes = {(g, e): pres.encode(words.normalize(((g, e),), pairing))[0] for g in gens for e in (1, -1)}
-    seen: set[Word] = set()
-    done = 0
-    out = []
-    for l in lengths:
-        if l not in filed:
-            out.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
-            continue
-        forms = (words.canonical_cyclic(w) for n in range(done, l) for w, _ in filed.get(n, ()))
-        new = [r for r in dict.fromkeys(forms) if r and r not in seen]
-        seen.update(new)
-        pres, done = pres.extended(new), l
-        out.append(_length_status(pres, codes, filed[l], l, budget, shortcuts))
-    return tuple(out)
-
-
 @contextlib.contextmanager
 def per_loop():
-    """Run the library's entry points with the per-loop ``_statuses``."""
-    with mock.patch.object(spectrum_mod, "_statuses", _statuses):
+    """Run the library's entry points with every loop of a length claimed."""
+    with mock.patch.object(spectrum_mod, "_one_loop_per_cyclic_word", lambda loops, _pairs: list(loops)):
         yield
 
 

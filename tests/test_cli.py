@@ -189,6 +189,14 @@ def test_schedule_with_a_large_prime_C(files, capsys):
     assert code == 0 and json.loads(out)["intervals"][0]["lower"]["display"] == "1000000007"
 
 
+def test_schedule_with_a_large_squarefree_radicand(files, capsys):
+    # alpha = sqrt(2 / (10^9 + 7)) is simplified without counting up to 2 (10^9 + 7)
+    start = time.perf_counter()
+    code, out = run(["schedule", "--d", "1000000006", "--beta", "4", "--nmax", "0"], capsys)
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and json.loads(out)["constants"]["alpha"]["display"] == "1/1000000007*sqrt(2000000014)"
+
+
 def test_kernel_search(files, capsys):
     code, out = run(
         [
@@ -380,7 +388,8 @@ def test_verify_cert_fails_a_hom_image_witness_with_a_malformed_payload(files, c
 
 def test_verify_cert_replays_an_enumeration_within_its_own_budget(files, capsys):
     # a forged budget of 10^9 cosets: replay stops at the checker's budget,
-    # where the commutator group's table cannot complete
+    # where the commutator group's table cannot complete; below the recorded
+    # budget that is inconclusive, as an honest larger budget looks the same
     a, b = ("a", 1), ("b", 1)
     pres = GroupPresentation.build(["a", "b"], [(a, b, ("a", -1), ("b", -1))])
     forged = CosetEnumerationCertificate(Budget(10**9, 10**9, 3), 1, "0" * 64, (a,), 0)
@@ -389,7 +398,24 @@ def test_verify_cert_replays_an_enumeration_within_its_own_budget(files, capsys)
         start = time.perf_counter()
         code, out = run(["verify-cert", path], capsys)
         assert time.perf_counter() - start < 1.0
-        assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
+        assert code == 3 and json.loads(out) == {"checked": 1, "failures": 0, "inconclusive": 1}
+
+
+def test_verify_cert_of_a_report_made_under_a_larger_budget(files, capsys):
+    # the cube's length-6 quotient is enumerated under a budget larger than the
+    # default: replay under the default completes; under a --budget too small
+    # for the enumeration the claims are inconclusive, not failed
+    edges = [[str(a), str(a ^ b)] for a in range(8) for b in (1, 2, 4) if a < a ^ b]
+    cube = {"vertices": list("01234567"), "edges": edges}
+    path = str(files["dir"] / "cube_report.json")
+    argv = ["spectrum", "--graph", files["dump"]("cube.json", cube), "--horizon", "6", "--out", path]
+    assert run(argv + ["--budget", "cosets:20000,deductions:2000000"], capsys)[0] == 0
+    claims = [c for s in _load(path)["statuses"] for c in s["claims"]]
+    assert sum(c["verdict"]["certificate"]["type"] == "coset_enumeration" for c in claims) == 4
+    code, out = run(["verify-cert", path], capsys)
+    assert code == 0 and json.loads(out) == {"checked": 17, "failures": 0}
+    code, out = run(["verify-cert", path, "--budget", "deductions:8"], capsys)
+    assert code == 3 and json.loads(out) == {"checked": 17, "failures": 0, "inconclusive": 4}
 
 
 def test_racg_c5_spectrum_to_eight_round_trips(files, capsys):

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -92,6 +93,16 @@ def test_simplified_does_not_count_up_to_a_large_prime():
     c = 1_000_000_007
     assert alpha_of(1).scale(c).simplified() == (Fraction(c), 1)
     assert alpha_of(2).scale(c * c).simplified() == (Fraction(c * c, 3), 6)
+
+
+def test_simplified_does_not_count_up_to_a_large_radicand():
+    # alpha for d = 10^9 + 6 has the squarefree radicand 2 (10^9 + 7): the
+    # least m with num*den/m a square is that radicand, trial division stops
+    # near its square root
+    for x in (alpha_of(1_000_000_006), alpha_of(1_000_000_006).scale(89_443)):
+        start = time.perf_counter()
+        assert x.simplified() == trial_division_sqrt.simplified(x.sign, x.square)
+        assert time.perf_counter() - start < 1.0
 
 
 @settings(max_examples=200)

@@ -596,11 +596,16 @@ def test_coset_enumeration_replay_fails_a_forged_table(forged):
 
 def test_coset_enumeration_replays_within_the_checkers_budget():
     """Replay runs under the field-wise minimum of the recorded budget and the
-    checker's; with no budget given it runs under the recorded one."""
+    checker's; with no budget given it runs under the recorded one.  Running
+    out of a checker's budget below the recorded one decides nothing (None);
+    running out of the recorded budget itself fails the certificate."""
     honest = _s3_enumeration(w("a a a"), budget=Budget(10**9, 10**9, 3))
     assert verify_certificate(S3_ORDER_3, honest)
     assert verify_certificate(S3_ORDER_3, honest, Budget())
-    assert verify_certificate(S3_ORDER_3, honest, Budget(max_cosets=3)) is False
+    assert verify_certificate(S3_ORDER_3, honest, Budget(max_cosets=3)) is None
+    starved = _s3_enumeration(w("a a a"), budget=Budget(max_cosets=3))
+    assert verify_certificate(S3_ORDER_3, starved) is False
+    assert verify_certificate(S3_ORDER_3, starved, Budget()) is False
     assert Budget(5, 10, 3).within(Budget(7, 2, 1)) == Budget(5, 2, 1)
     with mock.patch.object(word_engine, "todd_coxeter", wraps=word_engine.todd_coxeter) as tc:
         verify_certificate(S3_ORDER_3, honest, Budget(max_cosets=50))

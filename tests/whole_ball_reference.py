@@ -6,14 +6,15 @@ pass that adds the edges among the vertices at distance ``radius``.
 ``spectrum`` and ``taut_status`` build that ball at radius (h + 1)//2 + 1 for
 the horizon h, with its rim edges, whatever the loops and their shortcuts can
 reach.  The library builds the smallest ball that gives the same answer, so
-its balls must equal ``build_ball`` and its spectra these, byte for byte.
+its balls must equal ``build_ball`` and its spectra these, byte for byte;
+both keep one loop per cyclic word in the same way.
 """
 
 from __future__ import annotations
 
 from tautloop import cayley, words
 from tautloop.cayley import BallVertex, CayleyBall
-from tautloop.spectrum import Spectrum, _statuses
+from tautloop.spectrum import Spectrum, _one_loop_per_cyclic_word, _statuses
 from tautloop.word_engine import Budget
 
 
@@ -56,7 +57,7 @@ def ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_p
     if not loops.conclusive:
         raise cayley.OracleInsufficient("ball radius does not certify loop list")
     shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
-    pairs = list(zip(loops.words, loops.vertex_cycles))
+    pairs = _one_loop_per_cyclic_word(zip(loops.words, loops.vertex_cycles), inverse_pairs)
     return _statuses(gens, inverse_pairs, pairs, lengths, budget, shortcuts)
 
 
