@@ -12,6 +12,7 @@ collapse onto single undirected edges, keeping the graph simplicial.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -142,26 +143,29 @@ class BallVertex:
 @dataclass(frozen=True)
 class CayleyBall:
     center: int
-    vertices: tuple[BallVertex, ...]
-    adjacency: frozenset[frozenset[int]]
+    words: tuple[Word, ...]  # vertex id -> geodesic word, its length the vertex's distance
+    # vertex -> (neighbour, letter read to it) pairs, sorted by neighbour
+    nbrs: dict[int, list[tuple[int, Word]]] = field(hash=False, repr=False)
     radius: int
     oracle_tag: str
-    edge_letters: tuple[tuple[int, int, Word], ...]  # u, v, a length-1 word u->v
     # whether the edges among the vertices at distance ``radius`` were built
     rim: bool = field(default=True, compare=False, repr=False)
-    _nbrs: dict = field(default=None, init=False, compare=False, repr=False)
 
     def neighbor_map(self) -> dict[int, list[tuple[int, Word]]]:
-        """vertex -> (neighbour, letter) pairs sorted by neighbour; built once
-        and kept on the ball, so callers must not change it."""
-        if self._nbrs is None:
-            out: dict[int, list[tuple[int, Word]]] = {v.vid: [] for v in self.vertices}
-            # the edges come sorted, so each list is: smaller neighbours first
-            for u, v, letter in self.edge_letters:
-                out[u].append((v, letter))
-                out[v].append((u, words.invert(letter)))
-            object.__setattr__(self, "_nbrs", out)
-        return self._nbrs
+        return self.nbrs  # kept on the ball, so callers must not change it
+
+    # the vertex and edge views are built on first use
+    @functools.cached_property
+    def vertices(self) -> tuple[BallVertex, ...]:
+        return tuple(BallVertex(vid, w, len(w)) for vid, w in enumerate(self.words))
+
+    @functools.cached_property
+    def edge_letters(self) -> tuple[tuple[int, int, Word], ...]:  # u < v, the letter u->v
+        return tuple((u, v, letter) for u, pairs in self.nbrs.items() for v, letter in pairs if u < v)
+
+    @functools.cached_property
+    def adjacency(self) -> frozenset[frozenset[int]]:
+        return frozenset(frozenset((u, v)) for u, v, _ in self.edge_letters)
 
     def to_json(self) -> dict:
         return {
@@ -172,7 +176,7 @@ class CayleyBall:
                 {"id": v.vid, "word": words.to_json(v.word), "dist": v.dist}
                 for v in self.vertices
             ],
-            "edges": sorted(sorted(e) for e in self.adjacency),
+            "edges": [[u, v] for u, v, _ in self.edge_letters],
         }
 
     def dumps(self) -> str:
@@ -183,8 +187,8 @@ class CayleyBall:
         for v in self.vertices:
             label = words.format_word(v.word) or "1"
             lines.append(f'  n{v.vid} [label="{label}"];')
-        for e in sorted(sorted(e) for e in self.adjacency):
-            lines.append(f"  n{e[0]} -- n{e[1]};")
+        for u, v, _ in self.edge_letters:
+            lines.append(f"  n{u} -- n{v};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -202,17 +206,18 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     moves: list[Word] = [((s, exp),) for s in gens for exp in (1, -1)]
+    inverse = {mv: words.invert(mv) for mv in moves}
     keys = [oracle.normal_form(())]  # vertex id -> key
     key_to_id = {keys[0]: 0}
-    verts = [BallVertex(0, (), 0)]
-    letters: dict[tuple[int, int], Word] = {}  # (u, v), u < v -> letter read from u to v
+    found, nbrs = [()], {0: []}  # vertex id -> word, and its neighbours
     frontier = [0]
     reached = []  # the centre's key after each move
     # the last pass, if any, only adds the edges among frontier vertices
     for dist in range(1, radius + 1 + _rim):
         nxt = []
         for vid in frontier:
-            start, word = keys[vid], verts[vid].word
+            start, word = keys[vid], found[vid]
+            up = {}  # larger neighbour -> the first move that reaches it
             for mv in moves:
                 key = oracle.normal_form(mv, start)
                 if not vid:
@@ -222,22 +227,22 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
                     if dist > radius:
                         continue
                     # word + mv is reduced, or the element would be in the ball at dist - 2
-                    other = key_to_id[key] = len(verts)
+                    other = key_to_id[key] = len(found)
                     nxt.append(other)
                     keys.append(key)
-                    verts.append(BallVertex(other, word + mv, dist))
+                    found.append(word + mv)
+                    nbrs[other] = []
                 # ids follow the order of extension, so an edge is met first
-                # from its smaller end
+                # from its smaller end, after those to smaller neighbours
                 if vid < other:
-                    letters.setdefault((vid, other), mv)
+                    up.setdefault(other, mv)
+            nbrs[vid] += sorted(up.items())
+            for other, mv in up.items():
+                nbrs[other].append((vid, inverse[mv]))
             if vid == 0:
                 moves = [mv for i, mv in enumerate(moves) if i % 2 == 0 or reached[i] != reached[i - 1]]
         frontier = nxt
-    edges = sorted(letters)
-    edge_letters = tuple((u, v, letters[u, v]) for u, v in edges)
-    tag = getattr(oracle, "tag", type(oracle).__name__)
-    adjacency = frozenset(map(frozenset, edges))
-    return CayleyBall(0, tuple(verts), adjacency, radius, tag, edge_letters, _rim)
+    return CayleyBall(0, tuple(found), nbrs, radius, getattr(oracle, "tag", type(oracle).__name__), _rim)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +273,11 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
 
     One depth-first search per base files the closed walks of every length
     by length.  No walk visits an earlier base, so a class is found only from
-    its earliest base and is keyed by its least rotation from that base, read
-    either way; the first walk of each class in search order is kept.  It
-    leaves the base by the first neighbour that its class steps to or from
-    at the base, so no walk after those leaving by a neighbour uses its edge.
+    its earliest base.  It leaves the base by the first neighbour that its
+    class steps to or from there, and no walk after those leaving by a
+    neighbour uses its edge, so a walk through the base once is found once;
+    one through it again is keyed by its least rotation from the base, read
+    either way, and the first walk of each key in search order is kept.
     """
     bases = tuple(dict.fromkeys(bases))
     rank = {base: i for i, base in enumerate(bases)}
@@ -296,11 +302,13 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
                 path.append(nxt)
                 letters.append(letter)
                 if nxt == base and steps >= 3 and path[1] != here:
-                    cycle = tuple(path[:-1])
-                    turns = (cycle[i:] + cycle[:i] for i, v in enumerate(cycle) if v == base)
-                    key = min(min(t, (base, *t[:0:-1])) for t in turns)
-                    if key not in seen:
+                    cycle, fresh = tuple(path[:-1]), True
+                    if path.count(base) > 2:  # through the base again
+                        turns = (cycle[i:] + cycle[:i] for i, v in enumerate(cycle) if v == base)
+                        key = min(min(t, (base, *t[:0:-1])) for t in turns)
+                        fresh = key not in seen
                         seen.add(key)
+                    if fresh:
                         by_length[steps].append((cycle, tuple(x for word in letters for x in word)))
                 if steps < max_len:
                     extend(nxt)
@@ -335,8 +343,7 @@ def distance_map(ball: CayleyBall, base: int) -> dict[int, int]:
 
 def graph_distance(ball: CayleyBall, u: int, v: int) -> int | None:
     """Path metric within the ball; None means unreachable inside the ball."""
-    ids = {vert.vid for vert in ball.vertices}
-    if u not in ids or v not in ids:
+    if u not in ball.nbrs or v not in ball.nbrs:
         raise ValueError("vertex outside the ball")
     return distance_map(ball, u).get(v)
 

@@ -11,7 +11,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -47,6 +47,7 @@ class SqrtRational:
 
     sign: int
     square: Fraction
+    _factors: tuple = field(default=(), compare=False, repr=False)  # of a product
 
     @classmethod
     def of_ratio(cls, p, q=1) -> "SqrtRational":
@@ -63,13 +64,13 @@ class SqrtRational:
         return cls(1 if val else 0, val)
 
     def __mul__(self, other: "SqrtRational") -> "SqrtRational":
-        return SqrtRational(self.sign * other.sign, self.square * other.square)
+        return SqrtRational(self.sign * other.sign, self.square * other.square, (self, other))
 
     def scale(self, r) -> "SqrtRational":
         return self * SqrtRational.of_ratio(r)
 
     def __abs__(self) -> "SqrtRational":
-        return SqrtRational(abs(self.sign), self.square)
+        return SqrtRational(abs(self.sign), self.square, self._factors)
 
     def __lt__(self, other: "SqrtRational") -> bool:
         # sqrt is increasing, so sign * square orders the values
@@ -94,12 +95,14 @@ class SqrtRational:
         """(coefficient, radicand) with squarefree radicand m, the least for
         which num*den/m is a square.  One counter k tries k as m and strips k^2
         from num*den; the first to finish gives m, so neither a large radicand
-        nor a large square factor alone makes the loop long."""
+        nor a large square factor alone makes the loop long.  A product's m is
+        ab/gcd(a, b)^2 for its factors' a and b, so it is not searched for."""
         num, den = self.square.numerator, self.square.denominator
         inner = rest = num * den
         if not inner:
             return Fraction(0), 0
-        k = 1
+        a, b = (factor.simplified()[1] for factor in self._factors) if self._factors else (1, 1)
+        k = a * b // math.gcd(a, b) ** 2
         while inner % k or math.isqrt(inner // k) ** 2 != inner // k:
             k += 1
             while rest % (k * k) == 0:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 
@@ -5,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautloop import cayley, spectrum
 from tautloop.cayley import (
+    BallVertex,
     BBOracle,
+    CayleyBall,
     CosetTableOracle,
     FreeGroupOracle,
     OracleInsufficient,
@@ -349,6 +353,8 @@ def test_build_ball_equals_the_reference(oracle_gens, radius):
     ball = build_ball(oracle, gens, radius)
     want = whole_ball_reference.build_ball(oracle, gens, radius)
     assert ball == want
+    # the views derived on first use equal the reference's eager ones
+    assert (ball.vertices, ball.adjacency, ball.edge_letters) == (want.vertices, want.adjacency, want.edge_letters)
     assert (ball.dumps(), ball.to_dot()) == (want.dumps(), want.to_dot())
     # the neighbour lists come sorted without a sort
     nbrs = ball.neighbor_map()
@@ -373,6 +379,34 @@ def test_ball_moves_once_per_involution(monkeypatch):
     monkeypatch.setattr(RacgOracle, "normal_form", real)
     want = whole_ball_reference.build_ball(oracle, list("01234"), 3)
     assert ball == want and ball.dumps() == want.dumps()
+
+
+def test_spectrum_reads_only_the_neighbour_map(monkeypatch):
+    """The spectrum of BB(C4) to horizon 6 makes no ``BallVertex`` and
+    derives neither edge view of its ball."""
+    made = []
+    monkeypatch.setattr(cayley, "BallVertex", lambda *a: made.append("vertex") or BallVertex(*a))
+    for name in ("adjacency", "edge_letters"):
+        view = functools.cached_property(lambda b, f=vars(CayleyBall)[name].func, n=name: made.append(n) or f(b))
+        view.__set_name__(CayleyBall, name)
+        monkeypatch.setattr(CayleyBall, name, view)
+    oracle, gens = ORACLES["bb-c4"]()
+    assert spectrum(oracle, gens, 6).lengths() == (4,)
+    assert made == []
+    # while a caller that reads the views is seen building each once
+    ball = build_ball(oracle, gens, 2)
+    ball.to_dot()
+    ball.adjacency
+    assert made == ["vertex"] * len(ball.words) + ["edge_letters", "adjacency"]
+
+
+def test_ball_views_are_built_once_on_first_use():
+    ball = build_ball(*ORACLES["bb-c4"](), 2)
+    names = ("vertices", "adjacency", "edge_letters")
+    assert not set(names) & set(vars(ball))
+    for name in names:
+        assert getattr(ball, name) is getattr(ball, name)
+    assert ball.neighbor_map() is ball.neighbor_map()
 
 
 @settings(max_examples=60, deadline=None)

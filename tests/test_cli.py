@@ -197,6 +197,17 @@ def test_schedule_with_a_large_squarefree_radicand(files, capsys):
     assert code == 0 and json.loads(out)["constants"]["alpha"]["display"] == "1/1000000007*sqrt(2000000014)"
 
 
+def test_schedule_with_a_large_radicand_and_a_large_prime_C(files, capsys):
+    # interval 0's lower end alpha * C has the square 2 C^2 / (10^9 + 7): its
+    # radicand is alpha's, carried through the product, not searched again
+    start = time.perf_counter()
+    argv = ["schedule", "--d", "1000000006", "--beta", "4", "--C", "1000000009", "--nmax", "0"]
+    code, out = run(argv, capsys)
+    assert time.perf_counter() - start < 1.0
+    lower = json.loads(out)["intervals"][0]["lower"]["display"]
+    assert code == 0 and lower == "1000000009/1000000007*sqrt(2000000014)"
+
+
 def test_kernel_search(files, capsys):
     code, out = run(
         [

@@ -1,8 +1,9 @@
 """Reference ball build and spectrum ball, kept for the tests.
 
 ``build_ball`` is the earlier body of ``cayley.build_ball``: it keys edges by
-frozensets, free-reduces each new vertex's word, and always makes the last
-pass that adds the edges among the vertices at distance ``radius``.
+frozensets, free-reduces each new vertex's word, always makes the last pass
+that adds the edges among the vertices at distance ``radius``, and builds
+every view of the ball eagerly, the neighbour map from the sorted edges.
 ``spectrum`` and ``taut_status`` build that ball at radius (h + 1)//2 + 1 for
 the horizon h, with its rim edges, whatever the loops and their shortcuts can
 reach.  The library builds the smallest ball that gives the same answer, so
@@ -48,7 +49,14 @@ def build_ball(oracle, gens, radius: int) -> CayleyBall:
         (min(e), max(e), letters[e]) for e in sorted(letters, key=lambda e: sorted(e))
     )
     tag = getattr(oracle, "tag", type(oracle).__name__)
-    return CayleyBall(0, tuple(verts), frozenset(letters), radius, tag, edge_letters)
+    nbrs = {v.vid: [] for v in verts}
+    for u, v, letter in edge_letters:  # sorted, so each list is: smaller neighbours first
+        nbrs[u].append((v, letter))
+        nbrs[v].append((u, words.invert(letter)))
+    ball = CayleyBall(0, tuple(v.word for v in verts), nbrs, radius, tag)
+    # its views are the ones built here, not derived from the neighbour map
+    vars(ball).update(vertices=tuple(verts), adjacency=frozenset(letters), edge_letters=edge_letters)
+    return ball
 
 
 def ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_pairs=()):
