@@ -363,28 +363,16 @@ class Shortcuts:
 
     def __init__(self, nbrs, max_len: int):
         self.nbrs = nbrs
-        self.depth = max_len // 2 - 1
-        self._searches: dict = {}
-        self._words: dict = {}
+        self.depth = depth = max_len // 2 - 1
+        self._search = functools.cache(lambda root: bfs(nbrs, root, depth))
+        self._words = functools.cache(lambda u: dict(nbrs[u]))
 
-    def letters(self, cycle) -> list[Word]:
-        """The word of each edge of a closed walk, in order."""
-        return [
-            (self._words.get(u) or self._words.setdefault(u, dict(self.nbrs[u])))[v]
-            for u, v in zip(cycle, cycle[1:] + cycle[:1])
-        ]
-
-    def _search(self, root) -> dict:
-        """The breadth-first search from a vertex, to the kept depth."""
-        found = self._searches.get(root)
-        if found is None:
-            found = self._searches[root] = bfs(self.nbrs, root, self.depth)
-        return found
-
-    def find(self, cycle) -> tuple[int, int, Word] | None:
+    def find(self, cycle, encode) -> tuple[tuple[int, ...], ...] | None:
         """The first shortcut (a, b) of a closed vertex walk, in order of a
-        then b, with the word of a geodesic from vertex a to vertex b; None
-        when the walk is isometric."""
+        then b, as the codes of the walk's head before vertex a, its arc from
+        a to b and its tail after b, and of a geodesic from a to b; None when
+        the walk is isometric.  ``encode`` gives an edge word's signed-index
+        codes."""
         n = len(cycle)
         for a in range(n):
             search = self._search(cycle[a])
@@ -397,5 +385,8 @@ class Shortcuts:
                 while v != cycle[a]:
                     _, v, letter = search[v]
                     path.append(letter)
-                return a, b, tuple(x for letter in reversed(path) for x in letter)
+                # each edge's word, from its first end's table, then its codes
+                edge_words = map(dict.__getitem__, map(self._words, cycle), cycle[1:] + cycle[:1])
+                edges, q = list(map(encode, edge_words)), map(encode, reversed(path))
+                return sum(edges[:a], ()), sum(edges[a:b], ()), sum(edges[b:], ()), sum(q, ())
         return None

@@ -10,6 +10,7 @@ one core generator.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -191,7 +192,7 @@ def reduce_ints(w: Sequence[int]) -> tuple[int, ...]:
 
 
 def invert_ints(w: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-c for c in reversed(w))
+    return tuple(map(operator.neg, reversed(w)))
 
 
 def _add_variants(variants: dict, relators) -> dict:

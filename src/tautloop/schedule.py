@@ -48,6 +48,7 @@ class SqrtRational:
     sign: int
     square: Fraction
     _factors: tuple = field(default=(), compare=False, repr=False)  # of a product
+    _simple: tuple = field(default=(), compare=False, repr=False)  # simplified(), once found
 
     @classmethod
     def of_ratio(cls, p, q=1) -> "SqrtRational":
@@ -93,24 +94,19 @@ class SqrtRational:
 
     def simplified(self) -> tuple[Fraction, int]:
         """(coefficient, radicand) with squarefree radicand m, the least for
-        which num*den/m is a square.  One counter k tries k as m and strips k^2
-        from num*den; the first to finish gives m, so neither a large radicand
-        nor a large square factor alone makes the loop long.  A product's m is
+        which num*den/m is a square, found once and kept.  A product's m is
         ab/gcd(a, b)^2 for its factors' a and b, so it is not searched for."""
         num, den = self.square.numerator, self.square.denominator
-        inner = rest = num * den
-        if not inner:
+        if not num:
             return Fraction(0), 0
-        a, b = (factor.simplified()[1] for factor in self._factors) if self._factors else (1, 1)
-        k = a * b // math.gcd(a, b) ** 2
-        while inner % k or math.isqrt(inner // k) ** 2 != inner // k:
-            k += 1
-            while rest % (k * k) == 0:
-                rest //= k * k
-            if k * k > rest:  # no square d^2 > 1 divides rest, as d < k was stripped
-                k = rest
-                break
-        return Fraction(self.sign * math.isqrt(inner // k), den), k
+        if not self._simple:
+            if self._factors:
+                a, b = (factor.simplified()[1] for factor in self._factors)
+                k = a * b // math.gcd(a, b) ** 2
+            else:
+                k = squarefree_part(num * den)
+            object.__setattr__(self, "_simple", (Fraction(self.sign * math.isqrt(num * den // k), den), k))
+        return self._simple
 
     def __str__(self) -> str:
         coeff, rad = self.simplified()
@@ -126,6 +122,21 @@ class SqrtRational:
             "square": f"{self.square.numerator}/{self.square.denominator}",
             "display": str(self),
         }
+
+
+def squarefree_part(n: int) -> int:
+    """The least m for which the positive integer n/m is a square.  One
+    counter k tries k as m and strips k^2 from n; the first to finish gives m,
+    so neither a large radicand nor a large square factor alone makes the
+    loop long."""
+    k, rest = 1, n
+    while n % k or math.isqrt(n // k) ** 2 != n // k:
+        k += 1
+        while rest % (k * k) == 0:
+            rest //= k * k
+        if k * k > rest:  # no square d^2 > 1 divides rest, as d < k was stripped
+            return rest
+    return k
 
 
 def alpha_of(d: int) -> SqrtRational:
@@ -149,7 +160,7 @@ class Constants:
     beta: int
     C: int
 
-    @property
+    @functools.cached_property
     def alpha(self) -> SqrtRational:
         return alpha_of(self.d)
 

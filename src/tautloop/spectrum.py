@@ -28,6 +28,7 @@ horizon h, which holds its loops and their shortcuts.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -131,7 +132,7 @@ class Spectrum:
 
 
 def _shortcut_derivation(
-    pres: GroupPresentation, codes: dict, w: Word, cycle, shortcuts: cayley.Shortcuts
+    pres: GroupPresentation, coding, w: Word, cycle, shortcuts: cayley.Shortcuts
 ) -> NormalClosureDerivation | None:
     """Two insertions reducing a loop with a shortcut to the empty word.
 
@@ -141,18 +142,15 @@ def _shortcut_derivation(
     ``pres``.  The first step inserts a rotation of the first piece, or of
     its inverse, turning w into A Q C; the second writes A Q C as u c u^-1
     with c cyclically reduced and inserts c^-1 after u.  None when a piece
-    is not a relator, so that the loop goes to the engine.  ``codes`` maps
-    each letter to its signed index in ``pres``.
+    is not a relator, so that the loop goes to the engine.  The search runs
+    on signed-index codes; ``coding`` codes an edge word and decodes a
+    variant of a relator.
     """
-    cut = shortcuts.find(cycle)
+    encode, decode = coding
+    cut = shortcuts.find(cycle, encode)
     if cut is None:
         return None
-    a, b, q = cut
-    edges = shortcuts.letters(cycle)
-    head, arc, tail = (
-        [codes[x] for e in part for x in e] for part in (edges[:a], edges[a:b], edges[b:])
-    )
-    q = [codes[x] for x in q]
+    head, arc, tail, q = cut
     state = reduce_ints(head + arc + tail)
     target = reduce_ints(head + q + tail)
     variants = pres.relator_variants()
@@ -160,31 +158,34 @@ def _shortcut_derivation(
     if state != target:
         # the cyclic reduction of Q B^-1 comes first: it is the insertion
         # when w, Q and B are freely reduced
-        piece = cyclic_reduce_ints(q + [-c for c in reversed(arc)])
-        candidates = (
-            (pos, var)
-            for base in (piece, invert_ints(piece))
-            for var in (base[i:] + base[:i] for i in range(len(base)))
-            if var in variants
-            for pos in range(len(state) + 1)
-        )
-        step = next(
-            (c for c in candidates if reduce_ints(state[: c[0]] + c[1] + state[c[0] :]) == target),
-            None,
-        )
+        step = _first_insertion(state, target, cyclic_reduce_ints(q + invert_ints(arc)), variants)
         if step is None:
             return None
-        steps.append(step)
+        steps.append((step[0], decode(step[1])))
     if target:
         core = cyclic_reduce_ints(target)
         closing = invert_ints(core)
         if closing not in variants:
             return None
-        steps.append(((len(target) - len(core)) // 2, closing))
-    return NormalClosureDerivation(tuple(w), tuple((pos, pres.decode(v)) for pos, v in steps))
+        steps.append(((len(target) - len(core)) // 2, decode(closing)))
+    return NormalClosureDerivation(w, tuple(steps))
 
 
-def _length_status(pres, codes, exact, length: int, budget: Budget, shortcuts) -> LengthStatus:
+def _first_insertion(state, target, piece, variants) -> tuple | None:
+    """The first (position, variant) inserting a rotation of the piece, or
+    of its inverse, that turns ``state`` into ``target``, trying rotations
+    in order and each at every position in order."""
+    for base in (piece, invert_ints(piece)):
+        for i in range(len(base)):
+            var = base[i:] + base[:i]
+            if var in variants:
+                for pos in range(len(state) + 1):
+                    if reduce_ints(state[:pos] + var + state[pos:]) == target:
+                        return pos, var
+    return None
+
+
+def _length_status(pres, coding, exact, length: int, budget: Budget, shortcuts) -> LengthStatus:
     """The one per-length rule: a length is taut when some loop of it stays
     nontrivial in the quotient ``pres`` by the shorter loops, and not taut
     when every loop of it is proved trivial there.
@@ -196,7 +197,7 @@ def _length_status(pres, codes, exact, length: int, budget: Budget, shortcuts) -
     engine = None
     claims = []
     for w, cycle in exact:
-        proof = _shortcut_derivation(pres, codes, w, cycle, shortcuts)
+        proof = _shortcut_derivation(pres, coding, w, cycle, shortcuts)
         if proof is not None:
             state = TriState(PROVED, proof)
         else:
@@ -264,9 +265,11 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
     filed: dict[int, list] = {}
     for w, c in loops:
         filed.setdefault(len(c), []).append((words.normalize(w, pairing), c))
-    pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
-    # each letter's signed index, the same in every grown presentation
-    codes = {(g, e): pres.encode(words.normalize(((g, e),), pairing))[0] for g in gens for e in (1, -1)}
+    base = pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
+    # codes and their words are the same in every grown presentation: each
+    # edge word is coded once, and each inserted variant decoded once
+    encode = functools.cache(lambda edge: base.encode(words.normalize(edge, pairing)))
+    coding = encode, functools.cache(base.decode)
     seen: set[Word] = set()
     done = 0  # the loops shorter than this are relators of ``pres``
     out = []
@@ -278,7 +281,7 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
         new = [r for r in dict.fromkeys(forms) if r and r not in seen]
         seen.update(new)
         pres, done = pres.extended(new), l
-        out.append(_length_status(pres, codes, filed[l], l, budget, shortcuts))
+        out.append(_length_status(pres, coding, filed[l], l, budget, shortcuts))
     return tuple(out)
 
 
@@ -319,7 +322,7 @@ def spectrum_of_graph(
     """
     budget = budget or Budget()
     complex_ = FlagComplex(graph.vertices, graph.edges)
-    if not complex_.is_connected():
+    if not complex_.vertices or not complex_.is_connected():
         raise ValueError("spectrum needs a connected graph")
     chords = chord_words(complex_, complex_.vertices[0])
     nbrs = {v: [] for v in graph.vertices}

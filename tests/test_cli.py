@@ -704,6 +704,9 @@ BAD_INPUT = {
     # JSON of the wrong shape: a graph without edges, an instance without an action
     "spectrum-graph-without-edges": (
         lambda f: ["spectrum", "--graph", f["dump"]("g.json", {"vertices": ["0", "1"]}), "--horizon", "4"], 2),
+    # no vertices: not a connected graph, so no vertex to root its spanning tree at
+    "spectrum-empty-graph": (
+        lambda f: ["spectrum", "--graph", f["dump"]("g.json", {"vertices": [], "edges": []}), "--horizon", "4"], 2),
     "analyze-complex-without-edges": (
         lambda f: ["complex", "analyze", "--complex", f["dump"]("g.json", {"vertices": ["0", "1"]})], 2),
     "present-j-without-action": (

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
 
-from tautloop import word_engine  # noqa: E402
+from tautloop import cayley, word_engine  # noqa: E402
 from tautloop.cayley import BBOracle  # noqa: E402
 from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion  # noqa: E402
 from tautloop.presentations import Homomorphism, build_P  # noqa: E402
@@ -49,7 +49,9 @@ def test_tracer_installs_runs_and_uninstalls():
 
 def test_traced_graph_spectrum_counts_its_loops():
     # graph loops are counted through loop_word, looked up on the spectrum
-    # module at call time; without them engine_calls_per_loop would read 0
+    # module at call time, so it must be called once per loop; without them
+    # engine_calls_per_loop would read 0.  The 5-cycle is C5's one
+    # cyclically reduced closed walk of length at most 6.
     tracer = tracing.Tracer()
     tracer.install()
     installed = list(tracer._installed)
@@ -61,7 +63,8 @@ def test_traced_graph_spectrum_counts_its_loops():
     assert all(vars(owner)[attr] is original for owner, attr, original in installed)
     assert sp.lengths() == (5,)
     assert m["spectrum.calls"] == 1
-    assert m["complexes.loop_word.calls"] > 0
+    nbrs = {v: [(u, ()) for u in C5.neighbors(v)] for v in C5.vertices}
+    assert m["complexes.loop_word.calls"] == len(cayley.closed_walks(nbrs, 6, C5.vertices)) == 1
     assert m["spectrum.engine_calls_per_loop"] > 0
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tautloop import cli, schedule
 from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion
 from tautloop.schedule import (
     Constants,
@@ -103,6 +104,21 @@ def test_simplified_does_not_count_up_to_a_large_radicand():
         start = time.perf_counter()
         assert x.simplified() == trial_division_sqrt.simplified(x.sign, x.square)
         assert time.perf_counter() - start < 1.0
+
+
+def test_a_report_searches_alphas_squarefree_part_once(monkeypatch):
+    # alpha = sqrt(2/3) for d = 2, so its search is the one over 2*3 = 6;
+    # each interval's lower end alpha * C^(2^n) takes alpha's radicand
+    searched = []
+    original = schedule.squarefree_part
+    monkeypatch.setattr(schedule, "squarefree_part", lambda n: searched.append(n) or original(n))
+    constants = Constants(2, 4, choose_C(2, 4))
+    report = schedule_report(constants, 3)
+    assert [iv["lower"]["display"].endswith("*sqrt(6)") for iv in report["intervals"]] == [True] * 4
+    assert searched.count(6) == 1
+    searched.clear()
+    assert cli.main(["schedule", "--d", "2", "--beta", "4", "--nmax", "3"]) == 0
+    assert searched.count(6) == 1
 
 
 @settings(max_examples=200)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -45,8 +46,12 @@ from tautloop.word_engine import (
 )
 from tautloop.words import canonical_cyclic
 
+import per_letter_shortcuts
 import per_loop_spectrum
 import whole_ball_reference
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402
 
 spectrum_mod = sys.modules["tautloop.spectrum"]
 
@@ -149,6 +154,11 @@ def test_complete_graph_has_four_triangles_and_spectrum_three():
 def test_disconnected_graph_rejected():
     with pytest.raises(ValueError):
         spectrum_of_graph(graph("abcd", [("a", "b"), ("c", "d")]), 4, BUDGET)
+
+
+def test_empty_graph_rejected_as_disconnected():
+    with pytest.raises(ValueError, match="connected graph"):
+        spectrum_of_graph(graph([], []), 4, BUDGET)
 
 
 def test_theta_graph_spectrum():
@@ -425,6 +435,63 @@ def test_shortcut_derivation_needs_the_piece_relator():
     without = GroupPresentation.build(pres.generators, kept)
     assert verify_certificate(pres, claim.state)
     assert not verify_certificate(without, claim.state)
+
+
+def _seeded_graph_spectra():
+    """The graph-spectra benchmark inputs at seeds 1-3 and 4001, each graph's
+    vertices relabelled by the seed."""
+    return {
+        f"{job.label}-seed{seed}": (lambda args=job.args: spectrum_of_graph(*args))
+        for seed in (1, 2, 3, 4001)
+        for job in workloads.build("graph-spectra", seed)
+    }
+
+
+def _other_spectrum(name, horizon):
+    oracle, gens, pairs = OTHER_ORACLES[name]()
+    return spectrum(oracle, gens, horizon, BUDGET, pairs)
+
+
+# the graph and oracle spectra that the one-pass loop enumerator was checked
+# on, and RAAG(C4) to horizon 8
+SHORTCUT_CASES = {
+    **{name: (lambda g=g: spectrum_of_graph(g, 10)) for name, (g, _) in GRAPH_SPECTRA.items()},
+    **_seeded_graph_spectra(),
+    "theta-8": lambda: spectrum_of_graph(THETA, 8),
+    **{
+        f"racg-{name}-7": (lambda g=g: spectrum(RacgOracle(g), list(g.vertices), 7))
+        for name, g in (("c4", cycle_graph(4)), ("c5", cycle_graph(5)), ("p4", P4))
+    },
+    **{
+        f"{kind}-c{n}-6": (lambda kind=kind, n=n: spectrum(*_grown_case(f"{kind}-c{n}")[:2], 6, BUDGET))
+        for kind in ("raag", "bb")
+        for n in (4, 5)
+    },
+    **{
+        f"{name}-10": (lambda name=name: _other_spectrum(name, 10))
+        for name in ("free-pair", "zmod5")
+    },
+    **{
+        f"racg-c5-taut-{l}": (lambda l=l: Spectrum((taut_status(RacgOracle(cycle_graph(5)), list("01234"), l),), l))
+        for l in range(3, 8)
+    },
+    "raag-c4-8": lambda: spectrum(RaagOracle(flag_completion(cycle_graph(4))), list("0123"), 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_CASES))
+def test_shortcut_proofs_equal_the_per_letter_reference(name):
+    """Shortcut proofs searched on signed-index codes give every claim the
+    certificate that the reference, working on symbol letters, gives it, and
+    every certificate replays."""
+    make = SHORTCUT_CASES[name]
+    sp = make()
+    with per_letter_shortcuts.per_letter():
+        reference = make()
+    claims = [c for s in sp.statuses for c in s.claims]
+    assert [c.state for c in claims] == [c.state for s in reference.statuses for c in s.claims]
+    assert sp.dumps() == reference.dumps()
+    assert all(verify_certificate(c.presentation, c.state) for c in claims)
 
 
 def test_unknown_length_keeps_its_claims():
