@@ -252,16 +252,16 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
 
 @dataclass(frozen=True)
 class LoopEnumeration:
-    """Closed-loop words at a base vertex, length-lexicographic, deduplicated
-    up to rotation and reversal.  ``conclusive`` is False when the requested
-    length exceeds what the ball certifies (loops may be missing)."""
+    """Closed walks at a base vertex in order of length, at least one per
+    cyclic word, its least walk first.  ``conclusive`` is False when the
+    requested length exceeds what the ball certifies (loops may be missing)."""
 
     words: tuple[Word, ...]
     vertex_cycles: tuple[tuple[int, ...], ...]
     conclusive: bool
 
 
-def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
+def closed_walks(nbrs, max_len: int, bases, by_label: bool = False) -> list[tuple[tuple, Word]]:
     """Cyclically non-backtracking closed walks through the bases.
 
     ``nbrs`` maps each vertex to its ``(neighbour, word)`` pairs.  Walks of
@@ -269,7 +269,7 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
     class up to rotation and reversal, ordered by length, then base, then
     the order of ``nbrs``.  Backtracking walks freely reduce to strictly
     shorter ones, so omitting them loses nothing downstream: their cyclic
-    reductions are enumerated.
+    reductions are enumerated, and no walk passes a vertex of degree 1.
 
     One depth-first search per base files the closed walks of every length
     by length.  No walk visits an earlier base, so a class is found only from
@@ -278,26 +278,32 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
     neighbour uses its edge, so a walk through the base once is found once;
     one through it again is keyed by its least rotation from the base, read
     either way, and the first walk of each key in search order is kept.
+
+    ``by_label`` is for one base of a ball that holds every walk through it,
+    with edge labels (words) the same under translation.  It bars every edge
+    of the explored edge's label, read either way: a walk over one has a
+    rotation that, translated, was walked.  So each cyclic word keeps at
+    least one walk, and its least walk, which uses no earlier label, first.
     """
     bases = tuple(dict.fromkeys(bases))
     rank = {base: i for i, base in enumerate(bases)}
     by_length: list[list] = [[] for _ in range(max_len + 1)]
     seen: set[tuple] = set()
     for k, base in enumerate(bases):
-        dist = {v: hit[0] for v, hit in bfs(nbrs, base, max_len // 2).items()}
+        dist = {v: hit[0] for v, hit in bfs(nbrs, base, max_len // 2).items() if v == base or len(nbrs[v]) > 1}
         # each step's neighbours, with the most steps a walk can have taken
         # on reaching them: it must still get back to the base in time
         near = {
             u: [(v, w, max_len - dist[v]) for v, w in nbrs[u] if v in dist and rank.get(v, k) >= k]
             for u in dist
         }
-        path, letters = [base], []
+        path, letters, barred = [base], [], set()
 
         def extend(here) -> None:
             steps = len(path)  # after the next step
             back = path[-2] if steps > 1 else None
             for nxt, letter, latest in near[here]:
-                if nxt == back or steps > latest:
+                if nxt == back or steps > latest or barred and letter in barred:
                     continue
                 path.append(nxt)
                 letters.append(letter)
@@ -316,25 +322,33 @@ def closed_walks(nbrs, max_len: int, bases) -> list[tuple[tuple, Word]]:
                 letters.pop()
 
         for first in tuple(near[base]):
+            if first[1] in barred:
+                continue
             path[1:], letters[:] = [first[0]], [first[1]]
             extend(first[0])
-            # then bar the edge between this neighbour and the base
-            near[base].remove(first)
-            near[first[0]] = [step for step in near[first[0]] if step[0] != base]
+            if by_label:  # then bar every edge of its label, read either way
+                barred.update((first[1], words.invert(first[1])))
+            else:  # then bar the edge between this neighbour and the base
+                near[base].remove(first)
+                near[first[0]] = [step for step in near[first[0]] if step[0] != base]
         del extend  # it refers to itself; without this its tables wait for the collector
     return [walk for walks in by_length for walk in walks]
 
 
 def closed_loops(ball: CayleyBall, max_len: int, base: int = 0) -> LoopEnumeration:
-    """The closed walks of ``closed_walks`` through one base vertex of a ball."""
-    found = closed_walks(ball.neighbor_map(), max_len, (base,))
-    return LoopEnumeration(
-        tuple(w for _, w in found),
-        tuple(c for c, _ in found),
-        # a closed walk of length n from the centre stays within n/2 of it,
-        # so it uses rim edges only when n is odd
-        conclusive=max_len <= 2 * ball.radius + ball.rim,
-    )
+    """The closed walks of ``closed_walks`` through one base vertex of a ball,
+    barring labels when the ball holds every walk and each label at the
+    centre has its inverse there, which one move per involution breaks.
+
+    A closed walk of length n from a base at distance d from the centre stays
+    within d + n/2 of it, and uses rim edges only when n is odd."""
+    if base not in ball.nbrs:
+        raise ValueError("vertex outside the ball")
+    conclusive = max_len <= 2 * (ball.radius - len(ball.words[base])) + ball.rim
+    labels = {label for _, label in ball.nbrs[ball.center]}
+    by_label = conclusive and all(words.invert(label) in labels for label in labels)
+    found = closed_walks(ball.neighbor_map(), max_len, (base,), by_label)
+    return LoopEnumeration(tuple(w for _, w in found), tuple(c for c, _ in found), conclusive)
 
 
 def distance_map(ball: CayleyBall, base: int) -> dict[int, int]:

@@ -2,12 +2,13 @@
 
 ``per_loop`` runs the library with every loop of a length claimed, one claim
 per rotation of a cyclic word, as the library did before it kept one loop
-per cyclic word.  ``format1`` is the earlier report writer, which wrote each
-claim's presentation into the claim.  ``to_format2`` turns such a report
-into the one the library writes now, in two steps: it drops the later claims
-of each repeated cyclic word, then moves each length's shared presentation
-up to the length.  The library's ``Spectrum.dumps()`` must equal that, byte
-for byte.
+per cyclic word, and with a ball's walks barred on each base edge alone, as
+before they barred every edge of an explored label.  ``format1`` is the
+earlier report writer, which wrote each claim's presentation into the claim.
+``to_format2`` turns such a report into the one the library writes now, in
+two steps: it drops the later claims of each repeated cyclic word, then
+moves each length's shared presentation up to the length.  The library's
+``Spectrum.dumps()`` must equal that, byte for byte.
 """
 
 from __future__ import annotations
@@ -17,15 +18,24 @@ import json
 import sys
 from unittest import mock
 
-from tautloop import words
+from tautloop import cayley, words
 
 spectrum_mod = sys.modules["tautloop.spectrum"]
 
 
 @contextlib.contextmanager
 def per_loop():
-    """Run the library's entry points with every loop of a length claimed."""
-    with mock.patch.object(spectrum_mod, "_one_loop_per_cyclic_word", lambda loops, _pairs: list(loops)):
+    """Run the library's entry points with every loop of a length claimed,
+    walked with the bar on each base edge alone."""
+    walks = cayley.closed_walks
+
+    def base_edge_bar(nbrs, max_len, bases, _by_label=False):
+        return walks(nbrs, max_len, bases)
+
+    with (
+        mock.patch.object(spectrum_mod, "_one_loop_per_cyclic_word", lambda loops, _pairs: list(loops)),
+        mock.patch.object(cayley, "closed_walks", base_edge_bar),
+    ):
         yield
 
 

@@ -1,9 +1,10 @@
 import functools
 import hashlib
 import itertools
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from tautloop import cayley, spectrum
@@ -26,7 +27,7 @@ from tautloop.cayley import (
 from tautloop.complexes import SimpleGraph, flag_completion
 from tautloop.davis import SemidirectEngine, choose_orbits, vertex_symbol
 from tautloop.presentations import GroupPresentation, build_RACG
-from tautloop.words import word
+from tautloop.words import canonical_cyclic, word
 
 import per_length_closed_walks
 from test_davis import C12_Z3
@@ -506,3 +507,136 @@ def test_closed_walks_of_fixed_maps_equal_the_per_length_reference(nbrs, max_len
     nbrs = nbrs()
     want = per_length_closed_walks.closed_walks(nbrs, max_len, bases)
     assert want and closed_walks(nbrs, max_len, bases) == want
+
+
+# ---------------------------------------------------------------------------
+# closed_loops: where its enumeration is conclusive, and the label bar
+# ---------------------------------------------------------------------------
+
+spectrum_mod = sys.modules["tautloop.spectrum"]
+K4 = graph("0123", list(itertools.combinations("0123", 2)))
+P4 = graph("0123", [("0", "1"), ("1", "2"), ("2", "3")])
+
+
+def _classes(loops):
+    """The (length, cyclic word) classes of a loop enumeration."""
+    return {(len(c), canonical_cyclic(w)) for w, c in zip(loops.words, loops.vertex_cycles)}
+
+
+def test_an_off_centre_base_is_conclusive_within_the_ball_around_it():
+    """A closed walk of length n through a base at distance d from the centre
+    stays within d + n/2 of the centre, so a ball of radius r holds them all
+    for n <= 2(r - d), and one more with the rim.  The group moves the centre
+    to the base, so there the base has the centre's cyclic words."""
+    raag = build_ball(RaagOracle(flag_completion(C4)), list(C4.vertices), 2)
+    off = closed_loops(raag, 4, 1)
+    assert not off.conclusive
+    assert len(_classes(off)) == 2 and len(_classes(closed_loops(raag, 4, 0))) == 4
+    racg = build_ball(RacgOracle(C5), list(C5.vertices), 3)
+    off = closed_loops(racg, 6, 1)
+    assert not off.conclusive
+    assert len(_classes(off)) == 14 and len(_classes(closed_loops(racg, 6, 0))) == 20
+    for ball in (build_ball(RaagOracle(flag_completion(C4)), list(C4.vertices), 3), racg):
+        assert len(ball.words[1]) == 1
+        for max_len in (4, 5):
+            off = closed_loops(ball, max_len, 1)
+            assert off.conclusive and _classes(off) == _classes(closed_loops(ball, max_len, 0))
+
+
+def test_closed_loops_rejects_a_base_outside_the_ball():
+    ball = build_ball(ZModOracle(7), ["t"], 2)
+    with pytest.raises(ValueError, match="vertex outside the ball"):
+        closed_loops(ball, 4, 99)
+
+
+def _thin(walks, pairs=()):
+    """The first (word, vertex cycle) pair of each length and cyclic word."""
+    return spectrum_mod._one_loop_per_cyclic_word(((w, c) for c, w in walks), pairs)
+
+
+def _coset(gens, relators, pairs=()):
+    return CosetTableOracle(GroupPresentation.build(gens, [word(r) for r in relators], pairs))
+
+
+A, B, C, A_ = ("A", 1), ("b", 1), ("c", 1), ("A", -1)
+# Z/3 x Z/3 = <A, b>, with a = A^-1 a formal inverse or c = A a second name
+Z3_SQUARED_PAIR = [(A, A, A), (B, B, B), (A, B, A_, ("b", -1))]
+# name -> (oracle, generators, inverse pairs, horizon)
+LABEL_BAR_CASES = {
+    **{f"racg-{n}-7": (lambda g=g: (RacgOracle(g), list(g.vertices), (), 7))
+       for n, g in (("c4", C4), ("c5", C5), ("p4", P4))},
+    **{f"raag-c{len(g.vertices)}-6": (lambda g=g: (RaagOracle(flag_completion(g)), list(g.vertices), (), 6))
+       for g in (C4, C5)},
+    **{f"bb-c{len(g.vertices)}-6": (lambda g=g: (BBOracle(flag_completion(g)), _edge_gens(g), (), 6))
+       for g in (C4, C5)},
+    "free-pair-10": lambda: (*ORACLES["free-pair"](), (("a", "A"),), 10),
+    "zmod5-10": lambda: (ZModOracle(5), ["t"], (), 10),
+    "raag-c4-8": lambda: (RaagOracle(flag_completion(C4)), list(C4.vertices), (), 8),
+    "bb-c4-8": lambda: (BBOracle(flag_completion(C4)), _edge_gens(C4), (), 8),
+    "bb-k4-6": lambda: (BBOracle(flag_completion(K4)), _edge_gens(K4), (), 6),
+    **{f"s3-pair-{'-'.join(gens)}": (lambda gens=gens: (
+        _coset(["A", "a", "b"], [(A, A, A), (B, B), (A, B) * 2], [("A", "a")]), gens, (("A", "a"),), 6))
+       for gens in (["A", "a", "b"], ["a", "A", "b"])},
+    **{f"z3xz3-pair-{'-'.join(gens)}": (lambda gens=gens: (
+        _coset(["A", "a", "b"], Z3_SQUARED_PAIR, [("A", "a")]), gens, (("A", "a"),), 7))
+       for gens in (["A", "a", "b"], ["a", "A", "b"])},
+    "z3xz3-duplicate": lambda: (
+        _coset(["A", "b", "c"], [(A, A, A), (B, B, B), (A, B, A_, ("b", -1)), (C, A_)]), ["A", "b", "c"], (), 7),
+}
+
+
+def _assert_label_bar_keeps_the_thinned_loops(oracle, gens, pairs, horizon):
+    """The loops of ``closed_loops`` at the centre of the ball that a spectrum
+    builds, thinned to one per cyclic word, equal those of the walks with the
+    bar on each base edge alone, pair for pair and in order.  Returns the
+    two walk counts."""
+    ball = build_ball(oracle, gens, horizon // 2, _rim=horizon % 2 == 1)
+    loops = closed_loops(ball, horizon, ball.center)
+    reference = closed_walks(ball.neighbor_map(), horizon, (ball.center,))
+    assert loops.conclusive
+    assert _thin(zip(loops.vertex_cycles, loops.words), pairs) == _thin(reference, pairs)
+    return len(loops.words), len(reference)
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_BAR_CASES))
+def test_label_bar_keeps_every_thinned_loop(name):
+    _assert_label_bar_keeps_the_thinned_loops(*LABEL_BAR_CASES[name]())
+
+
+def test_label_bar_walks_each_cyclic_word_fewer_times():
+    """Walk counts with the label bar and with the base-edge bar alone."""
+    counts = {name: _assert_label_bar_keeps_the_thinned_loops(*LABEL_BAR_CASES[name]())
+              for name in ("bb-c4-6", "bb-c4-8", "racg-c5-7")}
+    assert counts == {"bb-c4-6": (10, 32), "bb-c4-8": (195, 712), "racg-c5-7": (20, 20)}
+    oracle, gens, _, _ = LABEL_BAR_CASES["raag-c4-8"]()
+    ball = build_ball(oracle, gens, 4)
+    loops = closed_loops(ball, 8, ball.center)
+    reference = closed_walks(ball.neighbor_map(), 8, (ball.center,))
+    assert sum(len(c) == 8 for c in loops.vertex_cycles) == 1072
+    assert sum(len(c) == 8 for c, _ in reference) == 3184
+    assert sum(len(c) == 8 for _, c in _thin(reference)) == 424
+
+
+@settings(max_examples=80, deadline=None)
+@seed(22)
+@given(oracle_gens=_random_oracles(), data=st.data())
+def test_label_bar_keeps_every_thinned_loop_of_random_oracles(oracle_gens, data):
+    oracle, gens = oracle_gens
+    horizon = data.draw(st.integers(3, 7 if len(gens) <= 4 else 5))
+    _assert_label_bar_keeps_the_thinned_loops(oracle, gens, (), horizon)
+
+
+@pytest.mark.parametrize("make, max_len, base", [
+    (lambda: build_ball(RacgOracle(C5), list(C5.vertices), 3), 7, 0),
+    (lambda: build_ball(RaagOracle(flag_completion(C4)), list(C4.vertices), 2), 6, 0),
+    (lambda: build_ball(RaagOracle(flag_completion(C4)), list(C4.vertices), 3), 6, 1),
+], ids=["involution", "inconclusive-length", "off-centre-past-its-length"])
+def test_closed_loops_keep_the_base_edge_bar_where_the_label_bar_loses_loops(make, max_len, base):
+    """With an involution, or without every walk through the base in the
+    ball, closed_loops walks as the base-edge bar alone does; the label bar
+    would lose cyclic words there."""
+    ball = make()
+    loops = closed_loops(ball, max_len, base)
+    reference = closed_walks(ball.neighbor_map(), max_len, (base,))
+    assert list(zip(loops.vertex_cycles, loops.words)) == reference
+    assert _thin(closed_walks(ball.neighbor_map(), max_len, (base,), True)) != _thin(reference)
