@@ -217,7 +217,7 @@ def cmd_spectrum(args) -> int:
     if not (args.graph or args.oracle):
         _usage_error("spectrum needs --graph or --oracle")
     if args.graph:
-        graph = _load_json(args.graph, lambda data: SimpleGraph.build(**data))
+        graph = _load_json(args.graph, SimpleGraph.from_json)
         sp = spectrum_of_graph(graph, args.horizon, budget)
     else:
         oracle, gens = _make_oracle(args, budget)

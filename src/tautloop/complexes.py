@@ -74,6 +74,11 @@ class SimpleGraph:
         es = _check_simple(vs, [(str(u), str(v)) for u, v in edges])
         return cls(vs, es)
 
+    @classmethod
+    def from_json(cls, data: dict) -> "SimpleGraph":
+        edges = [words.json_list(e) for e in words.json_list(data["edges"])]
+        return cls.build(words.json_list(data["vertices"]), edges)
+
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
 
@@ -164,7 +169,7 @@ class FlagComplex:
 
     @classmethod
     def from_json(cls, data: dict) -> "FlagComplex":
-        return flag_completion(SimpleGraph.build(data["vertices"], data["edges"]))
+        return flag_completion(SimpleGraph.from_json(data))
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
@@ -207,7 +212,7 @@ class EdgeLoop:
 
     @classmethod
     def from_json(cls, data: Iterable) -> "EdgeLoop":
-        return cls(tuple(str(v) for v in data))
+        return cls(tuple(str(v) for v in words.json_list(data)))
 
 
 @dataclass(frozen=True)
@@ -225,7 +230,7 @@ class OmegaSet:
 
     @classmethod
     def from_json(cls, data: Iterable) -> "OmegaSet":
-        return cls(tuple(EdgeLoop.from_json(item) for item in data))
+        return cls(tuple(EdgeLoop.from_json(item) for item in words.json_list(data)))
 
 
 def _boundary_matrix(complex_: FlagComplex, k: int) -> list[list[int]]:

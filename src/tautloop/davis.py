@@ -119,7 +119,7 @@ class GroupAction:
     @classmethod
     def from_json(cls, data: dict) -> "GroupAction":
         return cls.build(
-            SimpleGraph.build(data["graph"]["vertices"], data["graph"]["edges"]),
+            SimpleGraph.from_json(data["graph"]),
             GroupPresentation.from_json(data["group"]),
             data["action"],
         )
@@ -499,8 +499,8 @@ def instance_from_json(data: dict, budget: Budget | None = None) -> tuple[GroupA
         ga = GroupAction.from_json(data["action"])
         o = data.get("orbits")
         orbits = None if o is None else OrbitData(
-            tuple(o["vprime"]),
-            tuple(tuple(e) for e in o["eprime"]),
+            tuple(words.json_list(o["vprime"])),
+            tuple(tuple(words.json_list(e)) for e in words.json_list(o["eprime"])),
             tuple(sorted((u, words.from_json(w)) for u, w in o["gu"].items())),
         )
     except (LookupError, TypeError, AttributeError) as exc:

@@ -148,9 +148,9 @@ class GroupPresentation:
     @classmethod
     def from_json(cls, data: Mapping) -> "GroupPresentation":
         return cls.build(
-            data["generators"],
-            [words.from_json(r) for r in data["relators"]],
-            [tuple(p) for p in data.get("inverse_pairs", [])],
+            words.json_list(data["generators"]),
+            [words.from_json(r) for r in words.json_list(data["relators"])],
+            [tuple(words.json_list(p)) for p in words.json_list(data.get("inverse_pairs", []))],
         )
 
     def dumps(self) -> str:

@@ -105,24 +105,22 @@ class CosetTable:
         self.rows = rows
         self.definitions = definitions
         self.fills = fills
+        self.cols = {code: self.col(code) for i in range(1, n_core + 1) for code in (i, -i)}
 
     @staticmethod
     def col(code: int) -> int:
         return 2 * (abs(code) - 1) + (0 if code > 0 else 1)
 
     def trace(self, start: int, codes: Sequence[int]) -> int:
-        rows, col = self.rows, self.col
+        rows, cols = self.rows, self.cols
         c = start
         for code in codes:
-            c = rows[c][col(code)]
+            c = rows[c][cols[code]]
         return c
 
     def permutations(self) -> dict[int, tuple[int, ...]]:
         """Core generator index (1-based) -> permutation of cosets."""
-        out = {}
-        for g in range(1, self.n_core + 1):
-            out[g] = tuple(self.rows[c][self.col(g)] for c in range(len(self.rows)))
-        return out
+        return {g: tuple(row[self.col(g)] for row in self.rows) for g in range(1, self.n_core + 1)}
 
     def quotient_witness(self, pres: GroupPresentation, w: Word) -> QuotientWitness:
         """The regular representation of a completed table, as a permutation
@@ -897,9 +895,13 @@ def _dying_words(rows, data):
     their reduced negative sum, and a prefix meets its own by one lookup.
     Lexicographic order is (prefix, suffix) order."""
     core, mods, _ = data
+    torsion = [(i, m) for i, m in enumerate(mods) if m]
 
     def image(coords):
-        return tuple(x % m if m else x for x, m in zip(coords, mods))
+        coords = list(coords)
+        for i, m in torsion:
+            coords[i] %= m
+        return tuple(coords)
 
     alphabet = [(c, image(row)) for c, row in rows.items()]
     halves = [[((), (0,) * len(core))]]

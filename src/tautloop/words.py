@@ -97,8 +97,15 @@ def to_json(w: Word) -> list:
     return [[s, e] for s, e in w]
 
 
+def json_list(data) -> list | tuple:
+    """``data`` if it is a JSON array; a string is not read as its characters."""
+    if not isinstance(data, (list, tuple)):
+        raise TypeError(f"expected a list, got {type(data).__name__}")
+    return data
+
+
 def from_json(data: Iterable) -> Word:
-    return word(data)
+    return word(json_list(data))
 
 
 def format_word(w: Word) -> str:

@@ -649,15 +649,18 @@ def test_analyze_omega_on_chords_killed_by_triangles(files, capsys):
         assert got == code and json.loads(out)["normally_generates"]["status"] == status
 
 
-def _rotation_instance(files, relators, action=None):
+def _rotation_instance(files, relators, action=None, vertices=("0", "1", "2", "3"), orbits=None):
     """An instance of <g | relators> acting on the 4-cycle, by rotation unless
-    another action is given."""
+    another action is given, with the given orbits or none."""
     action = action or {"g": {"0": "1", "1": "2", "2": "3", "3": "0"}}
-    return files["dump"]("instance.json", {"action": {
-        "graph": {"vertices": ["0", "1", "2", "3"], "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "0"]]},
+    data = {"action": {
+        "graph": {"vertices": vertices, "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "0"]]},
         "group": {"generators": ["g"], "relators": relators},
         "action": action,
-    }})
+    }}
+    if orbits is not None:
+        data["orbits"] = orbits
+    return files["dump"]("instance.json", data)
 
 
 def _not_json(files):
@@ -715,6 +718,38 @@ BAD_INPUT = {
     "coset-self-pair": (
         lambda f: ["ball", "--oracle", "coset:" + f["dump"]("p.json", {
             "generators": ["a"], "relators": [], "inverse_pairs": [["a", "a"]]}), "--radius", "1"], 2),
+    # a string where a list of names belongs is malformed, not read one character at a time
+    "spectrum-graph-vertices-string": (
+        lambda f: ["spectrum", "--graph", f["dump"]("g.json", {
+            "vertices": "01234", "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "4"], ["4", "0"]]}),
+            "--horizon", "4"], 2),
+    "spectrum-graph-edge-string": (
+        lambda f: ["spectrum", "--graph", f["dump"]("g.json", {"vertices": ["0", "1"], "edges": ["01"]}),
+                   "--horizon", "4"], 2),
+    "kernel-search-omega-loop-string": (
+        lambda f: ["kernel-search", "--complex", f["c4"], "--omega", f["dump"]("o.json", ["0123"]),
+                   "--s", "0", "--t", "0,2", "--radius", "2"], 2),
+    "analyze-complex-vertices-string": (
+        lambda f: ["complex", "analyze", "--complex", f["dump"]("g.json", {
+            "vertices": "0123", "edges": [["0", "1"], ["1", "2"], ["2", "3"], ["3", "0"]]})], 2),
+    "coset-generators-string": (
+        lambda f: ["ball", "--oracle", "coset:" + f["dump"]("p.json", {
+            "generators": "a", "relators": [[["a", 1], ["a", 1]]]}), "--radius", "1"], 2),
+    "coset-pair-string": (
+        lambda f: ["ball", "--oracle", "coset:" + f["dump"]("p.json", {
+            "generators": ["a", "A"], "relators": [[["a", 1], ["a", 1]]], "inverse_pairs": ["aA"]}),
+                   "--radius", "1"], 2),
+    "coset-relator-string": (
+        lambda f: ["ball", "--oracle", "coset:" + f["dump"]("p.json", {
+            "generators": ["a"], "relators": ["", [["a", 1], ["a", 1]]]}), "--radius", "1"], 2),
+    "present-j-graph-vertices-string": (
+        lambda f: ["present", "j", "--instance", _rotation_instance(f, [[["g", 1]] * 4], vertices="0123")], 2),
+    "present-j-orbit-vertices-string": (
+        lambda f: ["present", "j", "--instance", _rotation_instance(f, [[["g", 1]] * 4], orbits={
+            "vprime": "0", "eprime": [["0", "1"]], "gu": {"0": [], "1": [["g", -1]]}})], 2),
+    "present-j-orbit-edge-string": (
+        lambda f: ["present", "j", "--instance", _rotation_instance(f, [[["g", 1]] * 4], orbits={
+            "vprime": ["0"], "eprime": ["01"], "gu": {"0": [], "1": [["g", -1]]}})], 2),
     "schedule-C-zero": (lambda f: ["schedule", "--d", "1", "--beta", "4", "--C", "0"], 2),
     # C^(2^22) has millions of digits: rejected before it is computed
     "schedule-nmax-22": (lambda f: ["schedule", "--d", "1", "--beta", "4", "--nmax", "22"], 2),

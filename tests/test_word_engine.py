@@ -387,22 +387,9 @@ def test_abelian_obstruction_agrees_with_the_engine_route():
     assert survivors == 48
 
 
-@pytest.mark.parametrize(
-    "p_s, p_t",
-    [
-        # Smith diagonal [2]: one coordinate mod 2, the rest whole
-        _c4_kernel_case({0}, {0, 2}, 6)[:2],
-        (pres("ab"), pres("ab", "a a a")),
-        (pres("ab"), pres("ba")),
-        (pres("aAb"), pres("bAa", "a b a b-", pairs=[("a", "A")])),
-        (pres(""), pres("")),
-        *RANDOM_PAIRS,
-    ],
-    ids=["c4-0-02", "a-cubed", "no-relators", "pairs", "no-core", *RANDOM_IDS],
-)
-def test_pruned_words_are_the_reference_survivors_in_order(p_s, p_t):
-    """The cut drops only words whose sum the target's abelianization does
-    not kill, so the survivors and their order are the unpruned reference's."""
+def _join_rows(p_s, p_t):
+    """The target's abelian data, the source's core size and each source
+    letter's row in the target's coordinates, as the kernel search has them."""
     data = _abelian_data(p_t)
     n_core = len(p_s.core_generators())
     rows = {
@@ -410,14 +397,48 @@ def test_pruned_words_are_the_reference_survivors_in_order(p_s, p_t):
         for i in range(1, n_core + 1)
         for c in (i, -i)
     }
+    return data, n_core, rows
+
+
+@pytest.mark.parametrize(
+    "p_s, p_t, max_length",
+    [
+        # Smith diagonal [2]: one coordinate mod 2, the rest whole
+        (*_c4_kernel_case({0}, {0, 2}, 6)[:2], 6),
+        (pres("ab"), pres("ab", "a a a"), 6),
+        (pres("ab"), pres("ba"), 6),
+        (pres("aAb"), pres("bAa", "a b a b-", pairs=[("a", "A")]), 6),
+        (pres(""), pres(""), 6),
+        *[(p_s, p_t, 6) for p_s, p_t in RANDOM_PAIRS],
+        # Smith diagonal [1, 2, 6, 0]: a factor of 1, two torsion factors and
+        # a free coordinate, with negative entries in the right transform
+        (pres("abcd"), pres("abcd", "a b", "b b c c", "c c c c a a"), 7),
+    ],
+    ids=["c4-0-02", "a-cubed", "no-relators", "pairs", "no-core", *RANDOM_IDS, "mixed-factors"],
+)
+def test_pruned_words_are_the_reference_survivors_in_order(p_s, p_t, max_length):
+    """The cut drops only words whose sum the target's abelianization does
+    not kill, so the survivors and their order are the unpruned reference's."""
+    data, n_core, rows = _join_rows(p_s, p_t)
     words_of_length = _dying_words(rows, data)
-    for length in range(1, 7):
+    for length in range(1, max_length + 1):
         want = [
             codes
             for codes, coords in per_word_kernel_search.reduced_words_with_sums(n_core, length, rows)
             if _abelian_obstruction(data, coords) is None
         ]
         assert list(words_of_length(length)) == want
+
+
+def test_kernel_c4_survivor_counts_are_frozen():
+    """The words of each length that die in the abelianization of
+    P(C4,{0,2}), from the benchmark's kernel inputs; the counts were taken
+    from the unpruned reference, ``reduced_words_with_sums``."""
+    p_s, p_t, _, _ = _c4_kernel_case({0}, {0, 2}, 7)
+    data, _, rows = _join_rows(p_s, p_t)
+    assert data[1] == (2, 0, 0, 0)
+    words_of_length = _dying_words(rows, data)
+    assert [sum(1 for _ in words_of_length(n)) for n in range(1, 8)] == [0, 0, 0, 48, 0, 1200, 0]
 
 
 def test_kernel_c4_to_radius_seven_is_frozen():
