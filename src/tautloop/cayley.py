@@ -299,17 +299,15 @@ def closed_walks(nbrs, max_len: int, bases, by_label: bool = False) -> list[tupl
         }
         path, letters, barred = [base], [], set()
 
-        def extend(here) -> None:
-            steps = len(path)  # after the next step
-            back = path[-2] if steps > 1 else None
+        def extend(here, back, steps) -> None:
+            # ``steps`` counts the next step, whose closure is tested before it is pushed
             for nxt, letter, latest in near[here]:
                 if nxt == back or steps > latest or barred and letter in barred:
                     continue
-                path.append(nxt)
                 letters.append(letter)
                 if nxt == base and steps >= 3 and path[1] != here:
-                    cycle, fresh = tuple(path[:-1]), True
-                    if path.count(base) > 2:  # through the base again
+                    cycle, fresh = tuple(path), True
+                    if path.count(base) > 1:  # through the base again
                         turns = (cycle[i:] + cycle[:i] for i, v in enumerate(cycle) if v == base)
                         key = min(min(t, (base, *t[:0:-1])) for t in turns)
                         fresh = key not in seen
@@ -317,15 +315,16 @@ def closed_walks(nbrs, max_len: int, bases, by_label: bool = False) -> list[tupl
                     if fresh:
                         by_length[steps].append((cycle, tuple(x for word in letters for x in word)))
                 if steps < max_len:
-                    extend(nxt)
-                path.pop()
+                    path.append(nxt)
+                    extend(nxt, here, steps + 1)
+                    path.pop()
                 letters.pop()
 
         for first in tuple(near[base]):
             if first[1] in barred:
                 continue
             path[1:], letters[:] = [first[0]], [first[1]]
-            extend(first[0])
+            extend(first[0], base, 2)
             if by_label:  # then bar every edge of its label, read either way
                 barred.update((first[1], words.invert(first[1])))
             else:  # then bar the edge between this neighbour and the base

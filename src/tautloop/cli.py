@@ -321,6 +321,10 @@ def _report_lengths(data) -> list:
     shared = "format" in data
     if shared and data["format"] != REPORT_FORMAT:
         raise ValueError(f"unknown report format {data['format']!r}")
+    horizon = words.json_int(data["horizon"])
+    lengths = [words.json_int(status["length"]) for status in data["statuses"]]
+    if lengths != sorted(set(lengths)) or not all(3 <= length <= horizon for length in lengths):
+        raise ValueError(f"status lengths {lengths} do not increase strictly within 3..{horizon}")
     out = []
     for status in data["statuses"]:
         claims = status["claims"]

@@ -197,8 +197,7 @@ class EdgeLoop:
         return len(self.cycle)
 
     def directed_edges(self) -> list[tuple[str, str]]:
-        n = len(self.cycle)
-        return [(self.cycle[i], self.cycle[(i + 1) % n]) for i in range(n)]
+        return list(zip(self.cycle, self.cycle[1:] + self.cycle[:1]))
 
     def validate(self, complex_: FlagComplex) -> None:
         if len(self.cycle) < 3:

@@ -60,12 +60,13 @@ class RightAngledEngine:
             c: frozenset(u for u in letters if abs(u) not in adjacent[abs(c)])
             for c in letters
         }
-        # (symbol, exponent) -> the engine letters of that word letter
+        # (symbol, exponent) -> the engine letters of that word letter, and back
         self.letters = {
             (v, e): (i if self.involutive else e * i,)
             for v, i in self.index.items()
             for e in (1, -1)
         }
+        self._names = {c: v if self.involutive else (v, e) for (v, e), (c,) in self.letters.items()}
 
     def normal_form(self, letters: Iterable[int], start: Sequence[int] = ()) -> tuple[int, ...]:
         """Normal form of the word ``start`` then ``letters``, where ``start``
@@ -86,6 +87,10 @@ class RightAngledEngine:
             nf.insert(i, c)
         return tuple(nf)
 
+    def decode(self, letters: Iterable[int]) -> tuple:
+        """Each engine letter's word letter, or its vertex for an involution."""
+        return tuple(map(self._names.__getitem__, letters))
+
 
 class TitsEngine(RightAngledEngine):
     """Canonical forms in the right-angled Coxeter group of a graph.
@@ -99,9 +104,6 @@ class TitsEngine(RightAngledEngine):
     def encode(self, w: Sequence[str]) -> list[int]:
         return table_letters(self.letters, [(s, 1) for s in w])
 
-    def decode(self, letters: Iterable[int]) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in letters)
-
 
 class RaagEngine(RightAngledEngine):
     """Canonical forms in the right-angled Artin group of a flag complex.
@@ -111,11 +113,6 @@ class RaagEngine(RightAngledEngine):
 
     def encode(self, w: Word) -> list[int]:
         return table_letters(self.letters, w)
-
-    def decode(self, letters: Iterable[int]) -> Word:
-        return tuple(
-            (self.vertices[abs(c) - 1], 1 if c > 0 else -1) for c in letters
-        )
 
 
 def tits_reduce(graph, w: Sequence[str]) -> tuple[str, ...]:

@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import words
 from .complexes import edge_symbol
-from .words import Word
+from .words import Letter, Word
 
 
 class PresentationError(ValueError):
@@ -67,37 +67,40 @@ class GroupPresentation:
 
     # -- core view -----------------------------------------------------
 
-    def _core_table(self) -> tuple[tuple[str, ...], dict[str, int], dict[str, str]]:
-        """Core generators, their 1-based indices and the pairing map."""
+    def _core_table(self) -> tuple[tuple[str, ...], dict[Letter, int], dict[int, Letter]]:
+        """Core generators, each generator letter's signed 1-based index (a
+        formal-inverse mate's is its core mate's, negated) and each index's
+        core letter."""
         if self._core is None:
             pairing = words.pairing_map(self.inverse_pairs)
             core = tuple(g for g in self.generators if words.is_core(g, pairing))
-            index = {g: i + 1 for i, g in enumerate(core)}
-            object.__setattr__(self, "_core", (core, index, pairing))
+            letters = {e * i: (g, e) for i, g in enumerate(core, 1) for e in (1, -1)}
+            codes = {letter: c for c, letter in letters.items()}
+            mates = (g for g in pairing if not words.is_core(g, pairing))
+            codes.update({(g, e): -codes[pairing[g], e] for g in mates for e in (1, -1)})
+            object.__setattr__(self, "_core", (core, codes, letters))
         return self._core
 
     def core_generators(self) -> tuple[str, ...]:
         """Generators with the larger member of each formal-inverse pair dropped."""
         return self._core_table()[0]
 
-    def normalize_word(self, w: Word) -> Word:
-        return words.free_reduce(words.normalize(w, self._core_table()[2]))
-
     def encode(self, w: Word) -> tuple[int, ...]:
         """Signed-index encoding of the freely reduced word over the core
-        alphabet (1-based).  Every symbol is checked before reduction, so a
-        foreign symbol raises even where it would cancel."""
-        _, index, pairing = self._core_table()
-        out = []
-        for sym, exp in words.normalize(w, pairing):
-            if sym not in index:
-                raise PresentationError(f"unknown generator {sym!r}")
-            out.append(exp * index[sym])
-        return reduce_ints(out)
+        alphabet, one lookup per letter.  Every letter is looked up before
+        reduction, so a foreign one raises even where it would cancel."""
+        try:
+            return reduce_ints(map(self._core_table()[1].__getitem__, w))
+        except KeyError as exc:
+            sym, exp = exc.args[0]
+            message = f"unknown generator {sym!r}" if exp in (1, -1) else f"bad exponent {exp!r}"
+            raise PresentationError(message) from None
 
     def decode(self, codes: Iterable[int]) -> Word:
-        core = self.core_generators()
-        return tuple((core[abs(c) - 1], 1 if c > 0 else -1) for c in codes)
+        try:
+            return tuple(map(self._core_table()[2].__getitem__, codes))
+        except KeyError as exc:
+            raise PresentationError(f"no core letter has code {exc.args[0]!r}") from None
 
     def core_relators(self) -> tuple[tuple[int, ...], ...]:
         """Encoded relators, pairing-normalised; trivialised ones are dropped."""
@@ -129,6 +132,7 @@ class GroupPresentation:
         the canonical forms that ``truncated_presentation`` keeps, with the
         encoded relators and variants grown from this presentation's."""
         out = GroupPresentation(self.generators, self.relators + tuple(relators), self.inverse_pairs)
+        object.__setattr__(out, "_core", self._core_table())
         encoded = tuple(self.encode(r) for r in relators)
         object.__setattr__(out, "_core_relators", self.core_relators() + encoded)
         object.__setattr__(out, "_variants", _add_variants(dict(self.relator_variants()), encoded))
@@ -258,10 +262,10 @@ class Homomorphism:
     def apply(self, w: Word) -> Word:
         imgs = self.image_map()
         out: list = []
-        for sym, exp in self.source.normalize_word(w):
+        for sym, exp in self.source.decode(self.source.encode(w)):
             img = imgs[sym]
             out.extend(img if exp == 1 else words.invert(img))
-        return self.target.normalize_word(tuple(out))
+        return self.target.decode(self.target.encode(out))
 
     def check_relators(self, budget=None):
         """Tri-state the image of each source relator in the target."""

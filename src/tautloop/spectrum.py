@@ -265,11 +265,11 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
     filed: dict[int, list] = {}
     for w, c in loops:
         filed.setdefault(len(c), []).append((words.normalize(w, pairing), c))
-    base = pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
-    # codes and their words are the same in every grown presentation: each
-    # edge word is coded once, and each inserted variant decoded once
-    encode = functools.cache(lambda edge: base.encode(words.normalize(edge, pairing)))
-    coding = encode, functools.cache(base.decode)
+    pres = truncated_presentation(gens, (), 0, inverse_pairs)  # no loops filled in yet
+    # codes and words are the same in every grown presentation as with the
+    # pairs: each edge word is coded once, and each variant decoded once
+    alphabet = GroupPresentation.build(gens, (), inverse_pairs)
+    coding = functools.cache(alphabet.encode), functools.cache(alphabet.decode)
     seen: set[Word] = set()
     done = 0  # the loops shorter than this are relators of ``pres``
     out = []

@@ -66,7 +66,7 @@ class Budget:
 
     @classmethod
     def from_json(cls, data: dict) -> "Budget":
-        return cls(**data)
+        return cls(**{name: words.json_int(value) for name, value in data.items()})
 
     def within(self, other: "Budget") -> "Budget":
         """The field-wise minimum of this budget and ``other``."""
@@ -327,8 +327,9 @@ class QuotientWitness:
     @classmethod
     def from_json(cls, data: dict) -> "QuotientWitness":
         return cls(
-            int(data["degree"]),
-            tuple(sorted((g, tuple(p)) for g, p in data["images"].items())),
+            words.json_int(data["degree"]),
+            tuple(sorted((g, tuple(map(words.json_int, words.json_list(p))))
+                         for g, p in data["images"].items())),
             words.from_json(data["word"]),
         )
 
@@ -352,7 +353,7 @@ class NormalClosureDerivation:
     def from_json(cls, data: dict) -> "NormalClosureDerivation":
         return cls(
             words.from_json(data["word"]),
-            tuple((int(pos), words.from_json(ins)) for pos, ins in data["steps"]),
+            tuple((words.json_int(pos), words.from_json(ins)) for pos, ins in data["steps"]),
         )
 
 
@@ -388,10 +389,10 @@ class CosetEnumerationCertificate:
     def from_json(cls, data: dict) -> "CosetEnumerationCertificate":
         return cls(
             Budget.from_json(data["budget"]),
-            int(data["n_cosets"]),
+            words.json_int(data["n_cosets"]),
             data["table_hash"],
             words.from_json(data["word"]),
-            int(data["coset"]),
+            words.json_int(data["coset"]),
         )
 
 

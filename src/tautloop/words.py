@@ -104,6 +104,13 @@ def json_list(data) -> list | tuple:
     return data
 
 
+def json_int(data) -> int:
+    """``data`` if it is a JSON integer; a float, boolean or string is not."""
+    if type(data) is not int:
+        raise TypeError(f"expected an integer, got {type(data).__name__}")
+    return data
+
+
 def from_json(data: Iterable) -> Word:
     return word(json_list(data))
 

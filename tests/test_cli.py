@@ -305,7 +305,7 @@ def _one_claim(files, name, claim, presentation):
     length = {"length": 4, "status": status, "vacuous": False, "presentation": presentation, "claims": [claim]}
     return [
         files["dump"](f"{name}-1.json", {"claims": [dict(claim, presentation=presentation)]}),
-        files["dump"](f"{name}.json", {"format": 2, "statuses": [length]}),
+        files["dump"](f"{name}.json", {"format": 2, "horizon": 4, "statuses": [length]}),
     ]
 
 
@@ -804,3 +804,98 @@ def test_semiker_writes_the_experiment_report(files, capsys):
 def _load(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+# -- integers and the report's shape ----------------------------------------
+
+
+@pytest.fixture
+def racg_c5_h7_report(files, capsys):
+    """The report of `spectrum --oracle racg --complex c5.json --horizon 7`:
+    a degree-3 quotient witness at length 4, and derivations at length 6 of
+    which some insert at position 0."""
+    path = str(files["dir"] / "r7.json")
+    argv = ["spectrum", "--oracle", "racg", "--complex", files["c5"], "--horizon", "7", "--out", path]
+    assert run(argv, capsys)[0] == 0
+    assert run(["verify-cert", path], capsys)[0] == 0
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _certificates(report, kind):
+    return [
+        c["verdict"]["certificate"]
+        for s in report["statuses"]
+        for c in s["claims"]
+        if c["verdict"]["certificate"]["type"] == kind
+    ]
+
+
+def _first_step_at_zero(report):
+    return next(
+        step for cert in _certificates(report, "normal_closure_derivation") for step in cert["steps"] if step[0] == 0
+    )
+
+
+def _malformed(files, capsys, report) -> bool:
+    code = main(["verify-cert", files["dump"]("forged.json", report)])
+    captured = capsys.readouterr()
+    return code == 2 and captured.out == "" and captured.err.startswith("malformed report")
+
+
+@pytest.mark.parametrize("forge", [
+    lambda r: _first_step_at_zero(r).__setitem__(0, 0.5),
+    lambda r: _first_step_at_zero(r).__setitem__(0, False),
+    lambda r: _first_step_at_zero(r).__setitem__(0, "0"),
+    lambda r: _certificates(r, "quotient_witness")[0].update(degree=3.0),
+    lambda r: _certificates(r, "quotient_witness")[0].update(degree="3"),
+    lambda r: next(iter(_certificates(r, "quotient_witness")[0]["images"].values())).__setitem__(0, 0.0),
+], ids=["position-half", "position-false", "position-string", "degree-float", "degree-string", "image-float"])
+def test_verify_cert_rejects_a_certificate_number_that_is_no_json_integer(files, capsys, racg_c5_h7_report, forge):
+    # int() read each of these as the integer it rounds to, and replay passed
+    forge(racg_c5_h7_report)
+    assert _malformed(files, capsys, racg_c5_h7_report)
+
+
+@pytest.mark.parametrize("forge", [
+    lambda c: c.update(coset=0.0),
+    lambda c: c.update(coset=False),
+    lambda c: c.update(n_cosets=float(c["n_cosets"])),
+    lambda c: c.update(n_cosets=str(c["n_cosets"])),
+    lambda c: c["budget"].update(max_cosets=2000.5),
+], ids=["coset-float", "coset-false", "n-cosets-float", "n-cosets-string", "budget-float"])
+def test_verify_cert_rejects_an_enumeration_number_that_is_no_json_integer(files, capsys, forge):
+    cube = {
+        "vertices": [str(i) for i in range(8)],
+        "edges": [[str(i), str(i ^ b)] for i in range(8) for b in (1, 2, 4) if i < i ^ b],
+    }
+    path = str(files["dir"] / "cube.json")
+    argv = ["spectrum", "--graph", files["dump"]("cube-graph.json", cube), "--horizon", "6", "--out", path]
+    assert run(argv, capsys)[0] == 0
+    report = _load(path)
+    certs = _certificates(report, "coset_enumeration")
+    assert certs and run(["verify-cert", path], capsys)[0] == 0
+    forge(certs[0])
+    assert _malformed(files, capsys, report)
+
+
+@pytest.mark.parametrize("forge", [
+    lambda r: _length(r, 5).update(length=None),
+    lambda r: r["statuses"].insert(1, dict(_length(r, 4), claims=[])),
+    lambda r: r["statuses"].insert(0, dict(_length(r, 3))),
+    lambda r: r["statuses"].reverse(),
+    lambda r: r.update(horizon="7"),
+    lambda r: r.update(horizon=7.0),
+    lambda r: r.pop("horizon"),
+    lambda r: r.update(horizon=6),
+    lambda r: r["statuses"].insert(0, dict(_length(r, 3), length=2)),
+], ids=["null-length", "repeated-length", "repeated-vacuous-length", "reversed", "string-horizon",
+        "float-horizon", "no-horizon", "length-past-horizon", "length-2"])
+def test_verify_cert_rejects_statuses_out_of_shape(files, capsys, racg_c5_h7_report, forge):
+    # lengths must be integers that increase strictly within 3..horizon, an integer
+    forge(racg_c5_h7_report)
+    for path in _layouts(files, "shape", racg_c5_h7_report):
+        code = main(["verify-cert", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import per_letter_coding
 from tautloop import words
 from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion
 from tautloop.normal_forms import bb_image
@@ -202,3 +205,61 @@ def test_exponent_vector_additivity(codes):
     v1 = exponent_vector(codes, 3)
     v2 = exponent_vector(reduce_ints(codes), 3)
     assert v1 == v2
+
+
+# -- the letter tables against the per-letter reference --------------------
+
+SYMBOLS = ("a", "b", "ab", "b2", "x", "e:0:1", "e:1:0", "e:10:2", "e:2:10")
+
+
+def _paired_presentation(rng):
+    """Up to nine generators in a random order, with up to three random
+    formal-inverse pairs among them."""
+    gens = rng.sample(SYMBOLS, rng.randint(1, len(SYMBOLS)))
+    mates = rng.sample(gens, 2 * rng.randint(0, min(3, len(gens) // 2)))
+    return GroupPresentation.build(gens, [], zip(mates[::2], mates[1::2]))
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_coding_equals_the_per_letter_reference(seed):
+    rng = random.Random(seed)
+    pres = _paired_presentation(rng)
+    letters = [(g, e) for g in pres.generators for e in (1, -1)]
+    for _ in range(40):
+        word = tuple(rng.choice(letters) for _ in range(rng.randint(0, 9)))
+        codes = pres.encode(word)
+        assert codes == per_letter_coding.encode(pres, word)
+        assert pres.decode(codes) == per_letter_coding.decode(pres, codes)
+        # a foreign symbol raises the same error, even where it cancels
+        sym = rng.choice([s for s in SYMBOLS + ("zz",) if s not in pres.generators])
+        i = rng.randint(0, len(word))
+        forged = word[:i] + ((sym, 1), (sym, -1)) + word[i:]
+        with pytest.raises(PresentationError) as new:
+            pres.encode(forged)
+        with pytest.raises(PresentationError) as old:
+            per_letter_coding.encode(pres, forged)
+        assert str(new.value) == str(old.value) == f"unknown generator {sym!r}"
+
+
+def test_a_formal_inverse_codes_as_its_mate_negated():
+    pres = GroupPresentation.build(["e:1:0", "b", "e:0:1"], [], [("e:1:0", "e:0:1")])
+    assert pres.core_generators() == ("b", "e:0:1")
+    assert pres.encode(w("e:1:0 b e:0:1-")) == (-2, 1, -2)
+    assert pres.decode((-2, 1, -2)) == w("e:0:1- b e:0:1-")
+    assert pres.extended([w("b b")])._core_table() is pres._core_table()
+
+
+@pytest.mark.parametrize("codes", [(0,), (1, 3), (-3,)])
+def test_decode_rejects_a_code_of_no_core_letter(codes):
+    # code 0 used to read as the last generator, inverted
+    pres = GroupPresentation.build(["a", "b"], [w("b")])
+    with pytest.raises(PresentationError):
+        pres.decode(codes)
+
+
+@pytest.mark.parametrize("letter", [("a", 2), ("a", 0), ("b", -2)])
+def test_encode_rejects_a_letter_whose_exponent_is_not_one(letter):
+    # ("a", 2) used to be coded as the exponent times a's index: generator b
+    pres = GroupPresentation.build(["a", "b"], [w("b")])
+    with pytest.raises(PresentationError, match="bad exponent"):
+        pres.encode((letter,))

@@ -14,6 +14,7 @@ from tautloop.linalg import mat_vec
 from tautloop.presentations import (
     GroupPresentation,
     Homomorphism,
+    PresentationError,
     build_P,
     build_RAAG,
     exponent_vector,
@@ -683,3 +684,18 @@ def test_group_is_trivial_falls_back_to_the_regular_representation():
     assert state.refuted
     assert state.certificate.degree == 60 and state.certificate.word == w("a")
     assert verify_certificate(a5, state)
+
+
+def test_a_letter_with_exponent_two_is_bound_to_no_verdict():
+    # in <a, b | b> the letter ("a", 2) was coded as generator 2, that is b:
+    # the engine proved it trivial, and the derivation inserting b^-1 replayed
+    pres = GroupPresentation.build(["a", "b"], [(("b", 1),)])
+    claim = (("a", 2),)
+    inserts_b_inverse = ((0, (("b", -1),)),)
+    forged = TriState("proved", NormalClosureDerivation(claim, inserts_b_inverse))
+    assert verify_certificate(pres, forged) is False
+    with pytest.raises(PresentationError):
+        WordProblemEngine(pres).is_trivial(claim)
+    honest = TriState("proved", NormalClosureDerivation((("b", 1),), inserts_b_inverse))
+    assert verify_certificate(pres, honest) is True
+    assert WordProblemEngine(pres).is_trivial((("a", 1), ("a", 1))).refuted
