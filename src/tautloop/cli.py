@@ -75,7 +75,7 @@ def _usage_error(message: str):
 
 
 def _reject_negative(name: str, value: int) -> bool:
-    """Report a negative ``--radius`` or ``--horizon``; malformed input."""
+    """Report a negative ``--radius``, ``--horizon`` or ``--maxlen``; malformed input."""
     if value < 0:
         sys.stderr.write(f"{name} must be nonnegative, got {value}\n")
     return value < 0
@@ -98,14 +98,6 @@ def _parse_ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip() != ""]
 
 
-def _load_complex(path: str) -> FlagComplex:
-    return _load_json(path, FlagComplex.from_json)
-
-
-def _load_omega(path: str) -> OmegaSet:
-    return _load_json(path, OmegaSet.from_json)
-
-
 def _make_oracle(args, budget: Budget):
     """The oracle that ``--oracle`` names, a coset table enumerated within the
     budget, and its generators: those of ``--gens`` if given, else its own."""
@@ -120,13 +112,13 @@ def _make_oracle(args, budget: Budget):
             _usage_error(f"bad order in oracle {spec!r}")
         oracle, gens = cayley.ZModOracle(int(arg)), ["t"]
     elif kind == "racg":
-        graph = _load_complex(args.complex).graph()
+        graph = _load_json(args.complex, FlagComplex.from_json).graph()
         oracle, gens = cayley.RacgOracle(graph), list(graph.vertices)
     elif kind == "raag":
-        cx = _load_complex(args.complex)
+        cx = _load_json(args.complex, FlagComplex.from_json)
         oracle, gens = cayley.RaagOracle(cx), list(cx.vertices)
     elif kind == "bb":
-        cx = _load_complex(args.complex)
+        cx = _load_json(args.complex, FlagComplex.from_json)
         gens = [edge_symbol(u, v) for u, v in cx.graph().sorted_edges()]
         oracle = cayley.BBOracle(cx)
     elif kind == "coset":
@@ -143,7 +135,7 @@ def _make_oracle(args, budget: Budget):
 
 
 def cmd_complex_analyze(args) -> int:
-    cx = _load_complex(args.complex)
+    cx = _load_json(args.complex, FlagComplex.from_json)
     homology = [reduced_homology(cx, k) for k in range(cx.dimension + 1)]
     report = {
         "vertices": len(cx.vertices),
@@ -156,7 +148,7 @@ def cmd_complex_analyze(args) -> int:
     }
     code = EXIT_OK
     if args.omega:
-        omega = _load_omega(args.omega)
+        omega = _load_json(args.omega, OmegaSet.from_json)
         state = normally_generates(cx, omega, _parse_budget(args.budget))
         report["normally_generates"] = state.to_json()
         if state.status == REFUTED:
@@ -169,11 +161,12 @@ def cmd_complex_analyze(args) -> int:
 
 def cmd_present(args) -> int:
     if args.kind == "p":
-        pres = build_P(_load_complex(args.complex), _load_omega(args.omega), set(_parse_ints(args.s)))
+        cx, omega = _load_json(args.complex, FlagComplex.from_json), _load_json(args.omega, OmegaSet.from_json)
+        pres = build_P(cx, omega, set(_parse_ints(args.s)))
     elif args.kind == "raag":
-        pres = build_RAAG(_load_complex(args.complex))
+        pres = build_RAAG(_load_json(args.complex, FlagComplex.from_json))
     elif args.kind == "racg":
-        pres = build_RACG(_load_complex(args.complex).graph())
+        pres = build_RACG(_load_json(args.complex, FlagComplex.from_json).graph())
     else:
         from . import davis
         ga, orbits = davis.instance_from_json(_load_json(args.instance), _parse_budget(args.budget))
@@ -239,8 +232,8 @@ def cmd_krelated(args) -> int:
 def cmd_schedule(args) -> int:
     from . import schedule as sched_mod
     if args.complex and args.omega:
-        cx = _load_complex(args.complex)
-        omega = _load_omega(args.omega)
+        cx = _load_json(args.complex, FlagComplex.from_json)
+        omega = _load_json(args.omega, OmegaSet.from_json)
         d = cx.dimension
         beta = sched_mod.beta_of(cx, omega)
     else:
@@ -264,8 +257,8 @@ def cmd_kernel_search(args) -> int:
     from . import schedule as sched_mod
     if _reject_negative("radius", args.radius):
         return EXIT_USAGE
-    cx = _load_complex(args.complex)
-    omega = _load_omega(args.omega)
+    cx = _load_json(args.complex, FlagComplex.from_json)
+    omega = _load_json(args.omega, OmegaSet.from_json)
     s_set, t_set = set(_parse_ints(args.s)), set(_parse_ints(args.t))
     pres_s = build_P(cx, omega, s_set)
     pres_t = build_P(cx, omega, t_set)
@@ -296,6 +289,8 @@ def cmd_kernel_search(args) -> int:
 def cmd_semiker(args) -> int:
     from . import davis
     budget = _parse_budget(args.budget)
+    if _reject_negative("maxlen", args.maxlen):
+        return EXIT_USAGE
     ga_s, orbits_s = davis.instance_from_json(_load_json(args.instance_s), budget)
     ga_t, orbits_t = davis.instance_from_json(_load_json(args.instance_t), budget)
     quotient = Homomorphism.identity_on_generators(ga_s.group, ga_t.group)
@@ -317,17 +312,18 @@ def _report_lengths(data) -> list:
     if "statuses" not in data:
         if "format" in data:
             raise ValueError("a bare claims list has no format")
-        return [(data["claims"], None, None)]
+        return [(words.json_list(data["claims"]), None, None)]
     shared = "format" in data
     if shared and data["format"] != REPORT_FORMAT:
         raise ValueError(f"unknown report format {data['format']!r}")
     horizon = words.json_int(data["horizon"])
-    lengths = [words.json_int(status["length"]) for status in data["statuses"]]
+    statuses = words.json_list(data["statuses"])
+    lengths = [words.json_int(status["length"]) for status in statuses]
     if lengths != sorted(set(lengths)) or not all(3 <= length <= horizon for length in lengths):
         raise ValueError(f"status lengths {lengths} do not increase strictly within 3..{horizon}")
     out = []
-    for status in data["statuses"]:
-        claims = status["claims"]
+    for status in statuses:
+        claims = words.json_list(status["claims"])
         mixed = any("presentation" in claim for claim in claims) if shared else "presentation" in status
         if mixed:
             raise ValueError(f"length {status.get('length')} mixes report formats")
@@ -361,8 +357,10 @@ def cmd_verify_cert(args) -> int:
                 elif not replayed:
                     failures += 1
                     sys.stderr.write(f"certificate failed for word {claim['word']}\n")
-            # a length's status must be the one its claims give under the per-length rule
-            if status and status["status"] != status_from_verdicts(verdicts, status["vacuous"]):
+            # a length's status must be the one its claims give under the per-length
+            # rule, and it is vacuous, a JSON boolean, exactly when it has none
+            if status and (status["status"] != status_from_verdicts(verdicts)
+                           or status["vacuous"] is not (not claims)):
                 failures += 1
                 sys.stderr.write(f"status of length {status.get('length')} contradicts its claims\n")
         taut = [s["length"] for _, _, s in lengths if s is not None and s["status"] == TAUT]

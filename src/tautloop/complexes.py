@@ -79,6 +79,9 @@ class SimpleGraph:
         edges = [words.json_list(e) for e in words.json_list(data["edges"])]
         return cls.build(words.json_list(data["vertices"]), edges)
 
+    def to_json(self) -> dict:
+        return {"vertices": list(self.vertices), "edges": [list(e) for e in self.sorted_edges()]}
+
     def has_edge(self, u: str, v: str) -> bool:
         return frozenset((u, v)) in self.edges
 
@@ -162,10 +165,7 @@ class FlagComplex:
         return sum((-1) ** (len(s) - 1) for s in self.simplices())
 
     def to_json(self) -> dict:
-        return {
-            "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.graph().sorted_edges()],
-        }
+        return self.graph().to_json()
 
     @classmethod
     def from_json(cls, data: dict) -> "FlagComplex":

@@ -108,10 +108,7 @@ class GroupAction:
 
     def to_json(self) -> dict:
         return {
-            "graph": {
-                "vertices": list(self.graph.vertices),
-                "edges": [list(e) for e in self.graph.sorted_edges()],
-            },
+            "graph": self.graph.to_json(),
             "group": self.group.to_json(),
             "action": {g: dict(perm) for g, perm in self.action},
         }

@@ -167,11 +167,8 @@ class Constants:
     def __post_init__(self) -> None:
         if self.beta < 1 or self.C < 1:
             raise ScheduleError("beta and C must be positive")
-        c = SqrtRational.of_ratio(self.C)
-        if not (c * self.alpha > SqrtRational.of_ratio(self.beta)):
-            raise ScheduleError("need C > beta/alpha")
-        if not (c * self.alpha > SqrtRational.of_ratio(3)):
-            raise ScheduleError("need C*alpha > 3")
+        if not SqrtRational.of_ratio(self.C) * self.alpha > SqrtRational.of_ratio(max(self.beta, 3)):
+            raise ScheduleError("need C*alpha > max(beta, 3)")
 
     def to_json(self) -> dict:
         return {
@@ -183,7 +180,8 @@ class Constants:
 
 
 def choose_C(d: int, beta: int) -> int:
-    """Least integer with C*alpha > beta and C*alpha > 3, by exact squaring."""
+    """Least integer with C*alpha > max(beta, 3), the bound that ``Constants``
+    checks, by exact squaring."""
     if d < 1:
         raise ScheduleError("dimension must be >= 1")
     bound = max(beta, 3)

@@ -77,7 +77,11 @@ class LengthStatus:
     length: int
     status: str  # taut | not_taut | unknown
     claims: tuple[TautClaim, ...] = ()
-    vacuous: bool = False  # NotTaut because no loops of this length exist
+
+    @property
+    def vacuous(self) -> bool:
+        """Not taut because no loops of this length exist."""
+        return not self.claims
 
     def to_json(self) -> dict:
         out = {
@@ -210,12 +214,12 @@ def _length_status(pres, coding, exact, length: int, budget: Budget, shortcuts) 
     return LengthStatus(length, status_from_verdicts([c.state.status for c in claims]), tuple(claims))
 
 
-def status_from_verdicts(verdicts, vacuous: bool = False) -> str:
+def status_from_verdicts(verdicts) -> str:
     """A length's status from its claims' verdicts, in order: taut when only the
-    last is refuted, not taut when all are proved or a vacuous length has none."""
+    last is refuted, not taut when every one is proved, as at a vacuous length."""
     if REFUTED in verdicts and verdicts.index(REFUTED) == len(verdicts) - 1:
         return TAUT
-    if set(verdicts) == {PROVED} or (vacuous and not verdicts):
+    if set(verdicts) <= {PROVED}:
         return NOT_TAUT
     return UNKNOWN
 
@@ -275,7 +279,7 @@ def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
     out = []
     for l in lengths:
         if l not in filed:
-            out.append(LengthStatus(l, NOT_TAUT, (), vacuous=True))
+            out.append(LengthStatus(l, NOT_TAUT))
             continue
         forms = (words.canonical_cyclic(w) for n in range(done, l) for w, _ in filed.get(n, ()))
         new = [r for r in dict.fromkeys(forms) if r and r not in seen]

@@ -438,8 +438,17 @@ def certificate_from_json(data: dict):
 
 @dataclass(frozen=True)
 class TriState:
+    """A verdict: proved and refuted ones carry a certificate, unknown ones never do."""
+
     status: str
     certificate: object | None = None
+
+    def __post_init__(self) -> None:
+        if self.status not in (PROVED, REFUTED, UNKNOWN):
+            raise ValueError(f"unknown verdict status {self.status!r}")
+        if (self.certificate is None) != (self.status == UNKNOWN):
+            kind = "without" if self.certificate is None else "with"
+            raise ValueError(f"{self.status} verdict {kind} a certificate")
 
     @property
     def proved(self) -> bool:
@@ -461,16 +470,8 @@ class TriState:
 
     @classmethod
     def from_json(cls, data: dict) -> "TriState":
-        cert = data.get("certificate")
-        return cls(data["status"], certificate_from_json(cert) if cert else None)
-
-
-def _check_invariant(state: TriState) -> TriState:
-    if state.status in (PROVED, REFUTED) and state.certificate is None:
-        raise AssertionError("conclusive states must carry a certificate")
-    if state.status == UNKNOWN and state.certificate is not None:
-        raise AssertionError("Unknown never carries a certificate")
-    return state
+        cert = certificate_from_json(data["certificate"]) if "certificate" in data else None
+        return cls(data["status"], cert)
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +797,14 @@ class WordProblemEngine:
     def is_trivial(self, w: Word) -> TriState:
         codes = self.pres.encode(w)
         if not codes:
-            return _check_invariant(TriState(PROVED, FreeReductionCertificate(tuple(w))))
+            return TriState(PROVED, FreeReductionCertificate(tuple(w)))
         ab = _abelian_quotient(self._abelian, codes, w)
         if ab is not None:
-            return _check_invariant(TriState(REFUTED, ab))
+            return TriState(REFUTED, ab)
         for hom in self.homs:
             image = hom.image(self.pres.decode(codes))
             if image:
-                return _check_invariant(TriState(REFUTED, hom.witness(tuple(w), image)))
+                return TriState(REFUTED, hom.witness(tuple(w), image))
         table = self.table()
         if table is not None:
             coset = table.trace(0, codes)
@@ -811,14 +812,14 @@ class WordProblemEngine:
                 cert = CosetEnumerationCertificate(
                     self.budget, len(table.rows), table.content_hash(), tuple(w), 0
                 )
-                return _check_invariant(TriState(PROVED, cert))
-            return _check_invariant(TriState(REFUTED, table.quotient_witness(self.pres, w)))
+                return TriState(PROVED, cert)
+            return TriState(REFUTED, table.quotient_witness(self.pres, w))
         derivation = normal_closure_search(self.pres, w, self.budget)
         if derivation is not None:
-            return _check_invariant(TriState(PROVED, derivation))
+            return TriState(PROVED, derivation)
         witness = finite_quotient_search(self.pres, w, ENGINE_QUOTIENT_DEGREE)
         if witness is not None:
-            return _check_invariant(TriState(REFUTED, witness))
+            return TriState(REFUTED, witness)
         return TriState(UNKNOWN)
 
 
@@ -837,7 +838,7 @@ def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> T
     table = engine.table()
     if table is not None and len(table.rows) == 1:
         cert = CosetEnumerationCertificate(engine.budget, 1, table.content_hash(), (), 0)
-        return _check_invariant(TriState(PROVED, cert))
+        return TriState(PROVED, cert)
     witness = nontrivial_quotient_search(pres, ENGINE_QUOTIENT_DEGREE)
     if witness is None:
         # the abelianization may separate faster than a raw degree search
@@ -846,13 +847,13 @@ def group_is_trivial(pres: GroupPresentation, budget: Budget | None = None) -> T
             if witness is not None:
                 break
     if witness is not None:
-        return _check_invariant(TriState(REFUTED, witness))
+        return TriState(REFUTED, witness)
     if table is not None:
         # finite but not order 1: some generator acts nontrivially in the
         # regular representation, which is itself a permutation witness
         regular = _first_moved(table.quotient_witness(pres, ()))
         if regular is not None:
-            return _check_invariant(TriState(REFUTED, regular))
+            return TriState(REFUTED, regular)
     return TriState(UNKNOWN)
 
 
@@ -1091,7 +1092,7 @@ def verify_certificate(pres: GroupPresentation, state: TriState, budget: Budget 
     """
     cert = state.certificate
     if state.unknown:
-        return cert is None
+        return True
     verdict, check = _REPLAY.get(type(cert), (None, None))
     if state.status != verdict:
         return False

@@ -18,12 +18,13 @@ EMPTY: Word = ()
 
 
 def word(letters: Iterable[Sequence]) -> Word:
-    """Build a word from an iterable of (symbol, exponent) pairs."""
+    """Build a word from an iterable of (symbol, exponent) pairs, each exponent
+    the integer 1 or -1; a float or boolean of that value is rejected."""
     out = []
     for sym, exp in letters:
-        if exp not in (1, -1):
+        if type(exp) is not int or exp not in (1, -1):
             raise ValueError(f"exponent must be +-1, got {exp!r}")
-        out.append((str(sym), int(exp)))
+        out.append((str(sym), exp))
     return tuple(out)
 
 

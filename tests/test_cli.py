@@ -600,10 +600,13 @@ def test_malformed_argument_exits_with_the_usage_code(capsys, argv, message):
     assert message in captured.err and captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("command", ["spectrum", "kernel-search"])
+@pytest.mark.parametrize("command", ["spectrum", "kernel-search", "semiker"])
 def test_negative_horizon_or_radius_is_a_usage_error(files, capsys, command):
     if command == "spectrum":
         argv = ["spectrum", "--oracle", "zmod:5", "--horizon", "-1"]
+    elif command == "semiker":
+        instance = _cycle_rotation_instance(files)
+        argv = ["semiker", "--instance-s", instance, "--instance-t", instance, "--maxlen", "-1"]
     else:
         argv = ["kernel-search", "--complex", files["c4"], "--omega", files["boundary"],
                 "--s", "0", "--t", "0,2", "--radius", "-1"]
@@ -899,3 +902,66 @@ def test_verify_cert_rejects_statuses_out_of_shape(files, capsys, racg_c5_h7_rep
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1
+
+
+# -- vacuous lengths, JSON letters and verdict shapes ------------------------
+
+
+@pytest.mark.parametrize("forge", [
+    lambda r: _length(r, 3).update(vacuous="no"),
+    lambda r: _length(r, 3).update(vacuous=1),
+    lambda r: _length(r, 4).update(vacuous=True),
+    lambda r: _length(r, 4).update(vacuous=0),
+], ids=["string-on-claimless", "one-on-claimless", "true-with-claims", "zero-with-claims"])
+def test_verify_cert_fails_a_vacuous_flag_other_than_no_claims(files, capsys, racg_c5_h7_report, forge):
+    # a length is vacuous, the JSON boolean true, exactly when it has no claims;
+    # every claim still replays, so the one failure is the length's
+    forge(racg_c5_h7_report)
+    for path in _layouts(files, "vacuous", racg_c5_h7_report):
+        code, out = run(["verify-cert", path], capsys)
+        assert code == 1 and json.loads(out) == {"checked": 16, "failures": 1}
+
+
+def _first_letter_of_a_six_claim(report, exponent):
+    """Give the first letter of a length-6 claim's word and of its
+    certificate's word the exponent; both read +1 before."""
+    claim = _claim(report, 6)
+    letters = [claim["word"][0], claim["verdict"]["certificate"]["word"][0]]
+    assert letters[0] == letters[1] and letters[0][1] == 1
+    for letter in letters:
+        letter[1] = exponent
+
+
+@pytest.mark.parametrize("exponent", [True, 1.0], ids=["true", "float"])
+def test_verify_cert_rejects_an_exponent_that_is_no_json_integer(files, capsys, racg_c5_h7_report, exponent):
+    # an exponent is the JSON integer 1 or -1, not a value that only equals one
+    _first_letter_of_a_six_claim(racg_c5_h7_report, exponent)
+    assert _malformed(files, capsys, racg_c5_h7_report)
+
+
+@pytest.mark.parametrize("forge", [
+    lambda v: v.pop("certificate"),
+    lambda v: v.update(certificate={}),
+    lambda v: v.update(status="unknown"),
+    lambda v: v.update(status="bogus"),
+], ids=["proved-without-certificate", "empty-certificate", "unknown-with-certificate", "bogus-status"])
+def test_verify_cert_rejects_a_verdict_out_of_shape(files, capsys, racg_c5_h7_report, forge):
+    # a proved or refuted verdict carries a certificate and an unknown one none;
+    # a verdict out of that shape is malformed input, not a failed replay
+    forge(_claim(racg_c5_h7_report, 6)["verdict"])
+    for path in _layouts(files, "verdict", racg_c5_h7_report):
+        code = main(["verify-cert", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("forge", [
+    lambda r: _length(r, 3).update(claims={}),
+    lambda r: (r.update(statuses={}), r.pop("taut_lengths")),
+    lambda r: (r.clear(), r.update(claims={})),
+], ids=["length-claims", "statuses", "bare-claims"])
+def test_verify_cert_rejects_a_list_given_as_an_object(files, capsys, racg_c5_h7_report, forge):
+    # claims and statuses are JSON lists; an object is malformed, not an empty list
+    forge(racg_c5_h7_report)
+    assert _malformed(files, capsys, racg_c5_h7_report)

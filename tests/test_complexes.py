@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import pytest
 
@@ -187,3 +188,23 @@ def test_json_round_trips():
     assert FlagComplex.from_json(C4.to_json()) == C4
     omega = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))
     assert OmegaSet.from_json(omega.to_json()) == omega
+
+
+@pytest.mark.parametrize("graph", [cycle_graph(4), cycle_graph(5), complete_graph(4), cycle_graph(3, ["b", "a", "c"])],
+                         ids=["C4", "C5", "K4", "triangle-out-of-order"])
+def test_simple_graph_json_round_trips(graph):
+    assert SimpleGraph.from_json(graph.to_json()) == graph
+    assert flag_completion(graph).to_json() == graph.to_json()
+
+
+@pytest.mark.parametrize("graph, text", [
+    (cycle_graph(4), '{"vertices": ["0", "1", "2", "3"], "edges": [["0", "1"], ["0", "3"], ["1", "2"], ["2", "3"]]}'),
+    (cycle_graph(5), '{"vertices": ["0", "1", "2", "3", "4"], '
+                     '"edges": [["0", "1"], ["0", "4"], ["1", "2"], ["2", "3"], ["3", "4"]]}'),
+    (complete_graph(4), '{"vertices": ["0", "1", "2", "3"], '
+                        '"edges": [["0", "1"], ["0", "2"], ["0", "3"], ["1", "2"], ["1", "3"], ["2", "3"]]}'),
+], ids=["C4", "C5", "K4"])
+def test_complex_json_bytes(graph, text):
+    # vertices in order, then each edge once, its ends and the edges in vertex order;
+    # a homomorphism-image certificate carries these bytes as its payload
+    assert json.dumps(flag_completion(graph).to_json()) == text

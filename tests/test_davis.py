@@ -217,6 +217,13 @@ def test_frozen_semiker_bytes(run, sha):
     assert hashlib.sha256(text.encode()).hexdigest() == sha
 
 
+def test_frozen_instance_bytes():
+    # SHA-256 of the JSON of C12 with Z/3 and its chosen orbits, pinned so that
+    # the graph part, written by SimpleGraph.to_json, keeps these bytes
+    text = json.dumps(instance_to_json(C12_Z3, choose_orbits(C12_Z3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == "0aaafaa56edb88e66d90370cd363b148b4b5ba92e13e1a79d7554555c95099f2"
+
+
 def test_semiker_identity_quotient_is_vacuous():
     orbits = choose_orbits(C12_Z3)
     instance = (C12_Z3, orbits)

@@ -34,9 +34,12 @@ from tautloop.spectrum import (
     k_related,
     spectrum,
     spectrum_of_graph,
+    status_from_verdicts,
     taut_status,
 )
 from tautloop.word_engine import (
+    PROVED,
+    REFUTED,
     Budget,
     CosetEnumerationCertificate,
     NormalClosureDerivation,
@@ -89,6 +92,17 @@ def test_cyclic_group_double_length_is_filled_by_the_short_loop():
     status = taut_status(ZModOracle(5), ["t"], 10, BUDGET)
     assert status.status == NOT_TAUT and not status.vacuous
     assert all(c.state.proved for c in status.claims)
+
+
+def test_a_length_is_vacuous_exactly_when_it_has_no_claims():
+    # no claims is not taut; any claims decide the status by their verdicts
+    assert status_from_verdicts([]) == NOT_TAUT
+    assert status_from_verdicts([PROVED, PROVED]) == NOT_TAUT
+    assert status_from_verdicts([PROVED, REFUTED]) == TAUT
+    assert status_from_verdicts([PROVED, UNKNOWN]) == UNKNOWN
+    assert LengthStatus(3, NOT_TAUT).vacuous
+    status = taut_status(ZModOracle(5), ["t"], 10, BUDGET)
+    assert status.claims and not status.vacuous
 
 
 def test_free_group_spectrum_is_empty():

@@ -153,6 +153,27 @@ def test_tri_state_shape():
     assert st_unknown.unknown and st_unknown.certificate is None
 
 
+@pytest.mark.parametrize("status, certificate", [
+    ("proved", None),
+    ("refuted", None),
+    ("unknown", FreeReductionCertificate(())),
+    ("bogus", FreeReductionCertificate(())),
+    ("bogus", None),
+])
+def test_a_verdict_carries_a_certificate_exactly_when_conclusive(status, certificate):
+    with pytest.raises(ValueError):
+        TriState(status, certificate)
+    data = {"status": status} if certificate is None else {"status": status, "certificate": certificate.to_json()}
+    with pytest.raises(ValueError):
+        TriState.from_json(data)
+
+
+def test_a_verdict_reads_its_certificate_by_presence():
+    with pytest.raises(KeyError):
+        TriState.from_json({"status": "proved", "certificate": {}})
+    assert TriState.from_json({"status": "unknown"}) == TriState("unknown")
+
+
 def test_abelian_witness_on_free_generator():
     cert = abelian_witness(FREE2, w("a"))
     assert cert is not None and cert.degree == 2

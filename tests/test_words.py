@@ -21,8 +21,10 @@ word_st = st.lists(letters, max_size=12).map(tuple)
 
 
 def test_word_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        words.word([("a", 2)])
+    # an exponent is the integer 1 or -1, not a boolean or float equal to one
+    for exp in (2, True, 1.0, -1.0):
+        with pytest.raises(ValueError):
+            words.word([("a", exp)])
 
 
 def test_invert_reverses_and_flips():
