@@ -64,11 +64,11 @@ class RaagOracle:
 
 
 class RacgOracle:
-    """Right-angled Coxeter group of a graph; exponents are ignored mod 2."""
+    """Right-angled Coxeter group of a flag complex; exponents are ignored mod 2."""
 
-    def __init__(self, graph):
-        self.engine = normal_forms.TitsEngine(graph.vertices, graph.edges)
-        self.tag = f"racg({','.join(graph.vertices)})"
+    def __init__(self, complex_):
+        self.engine = normal_forms.TitsEngine(complex_.vertices, complex_.edges)
+        self.tag = f"racg({','.join(complex_.vertices)})"
 
     def normal_form(self, w: Word, start=()):
         return self.engine.normal_form(normal_forms.table_letters(self.engine.letters, w), start)
@@ -204,7 +204,7 @@ def build_ball(oracle, gens, radius: int, *, _rim: bool = True) -> CayleyBall:
     g s^-1 = g s everywhere and its move s^-1, met after s, is dropped there.
     """
     if radius < 0:
-        raise ValueError("radius must be nonnegative")
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     moves: list[Word] = [((s, exp),) for s in gens for exp in (1, -1)]
     inverse = {mv: words.invert(mv) for mv in moves}
     keys = [oracle.normal_form(())]  # vertex id -> key

@@ -74,13 +74,6 @@ def _usage_error(message: str):
     raise SystemExit(EXIT_USAGE)
 
 
-def _reject_negative(name: str, value: int) -> bool:
-    """Report a negative ``--radius``, ``--horizon`` or ``--maxlen``; malformed input."""
-    if value < 0:
-        sys.stderr.write(f"{name} must be nonnegative, got {value}\n")
-    return value < 0
-
-
 def _parse_budget(text: str | None) -> Budget:
     """A ``Budget`` from ``cosets:N,deductions:N,depth:N``; a field left out
     keeps its default."""
@@ -103,24 +96,19 @@ def _make_oracle(args, budget: Budget):
     budget, and its generators: those of ``--gens`` if given, else its own."""
     spec = args.oracle
     kind, _, arg = spec.partition(":")
-    if kind in ("racg", "raag", "bb") and not args.complex:
-        _usage_error(f"oracle {kind!r} needs --complex")
-    if kind == "free":
+    of_complex = {"racg": cayley.RacgOracle, "raag": cayley.RaagOracle, "bb": cayley.BBOracle}
+    if kind in of_complex:
+        if not args.complex:
+            _usage_error(f"oracle {kind!r} needs --complex")
+        cx = _load_json(args.complex, FlagComplex.from_json)
+        gens = [edge_symbol(u, v) for u, v in cx.sorted_edges()] if kind == "bb" else list(cx.vertices)
+        oracle = of_complex[kind](cx)
+    elif kind == "free":
         oracle, gens = cayley.FreeGroupOracle(arg.split(",")), arg.split(",")
     elif kind == "zmod":
         if not arg.isdigit():
             _usage_error(f"bad order in oracle {spec!r}")
         oracle, gens = cayley.ZModOracle(int(arg)), ["t"]
-    elif kind == "racg":
-        graph = _load_json(args.complex, FlagComplex.from_json).graph()
-        oracle, gens = cayley.RacgOracle(graph), list(graph.vertices)
-    elif kind == "raag":
-        cx = _load_json(args.complex, FlagComplex.from_json)
-        oracle, gens = cayley.RaagOracle(cx), list(cx.vertices)
-    elif kind == "bb":
-        cx = _load_json(args.complex, FlagComplex.from_json)
-        gens = [edge_symbol(u, v) for u, v in cx.graph().sorted_edges()]
-        oracle = cayley.BBOracle(cx)
     elif kind == "coset":
         pres = _load_json(arg, GroupPresentation.from_json)
         oracle, gens = cayley.CosetTableOracle(pres, budget), list(pres.core_generators())
@@ -166,7 +154,7 @@ def cmd_present(args) -> int:
     elif args.kind == "raag":
         pres = build_RAAG(_load_json(args.complex, FlagComplex.from_json))
     elif args.kind == "racg":
-        pres = build_RACG(_load_json(args.complex, FlagComplex.from_json).graph())
+        pres = build_RACG(_load_json(args.complex, FlagComplex.from_json))
     else:
         from . import davis
         ga, orbits = davis.instance_from_json(_load_json(args.instance), _parse_budget(args.budget))
@@ -181,8 +169,6 @@ def cmd_present(args) -> int:
 def cmd_ball(args) -> int:
     # the budget bounds the enumeration of a coset-table oracle
     budget = _parse_budget(args.budget)
-    if _reject_negative("radius", args.radius):
-        return EXIT_USAGE
     oracle, gens = _make_oracle(args, budget)
     ball = cayley.build_ball(oracle, gens, args.radius)
     if args.format == "dot":
@@ -205,8 +191,6 @@ def _spectrum_report(sp: Spectrum) -> dict:
 
 def cmd_spectrum(args) -> int:
     budget = _parse_budget(args.budget)
-    if _reject_negative("horizon", args.horizon):
-        return EXIT_USAGE
     if not (args.graph or args.oracle):
         _usage_error("spectrum needs --graph or --oracle")
     if args.graph:
@@ -255,8 +239,6 @@ def cmd_schedule(args) -> int:
 
 def cmd_kernel_search(args) -> int:
     from . import schedule as sched_mod
-    if _reject_negative("radius", args.radius):
-        return EXIT_USAGE
     cx = _load_json(args.complex, FlagComplex.from_json)
     omega = _load_json(args.omega, OmegaSet.from_json)
     s_set, t_set = set(_parse_ints(args.s)), set(_parse_ints(args.t))
@@ -289,8 +271,6 @@ def cmd_kernel_search(args) -> int:
 def cmd_semiker(args) -> int:
     from . import davis
     budget = _parse_budget(args.budget)
-    if _reject_negative("maxlen", args.maxlen):
-        return EXIT_USAGE
     ga_s, orbits_s = davis.instance_from_json(_load_json(args.instance_s), budget)
     ga_t, orbits_t = davis.instance_from_json(_load_json(args.instance_t), budget)
     quotient = Homomorphism.identity_on_generators(ga_s.group, ga_t.group)
@@ -314,7 +294,7 @@ def _report_lengths(data) -> list:
             raise ValueError("a bare claims list has no format")
         return [(words.json_list(data["claims"]), None, None)]
     shared = "format" in data
-    if shared and data["format"] != REPORT_FORMAT:
+    if shared and words.json_int(data["format"]) != REPORT_FORMAT:
         raise ValueError(f"unknown report format {data['format']!r}")
     horizon = words.json_int(data["horizon"])
     statuses = words.json_list(data["statuses"])
@@ -364,7 +344,7 @@ def cmd_verify_cert(args) -> int:
                 failures += 1
                 sys.stderr.write(f"status of length {status.get('length')} contradicts its claims\n")
         taut = [s["length"] for _, _, s in lengths if s is not None and s["status"] == TAUT]
-        if data.get("taut_lengths", taut) != taut:
+        if [words.json_int(l) for l in words.json_list(data.get("taut_lengths", taut))] != taut:
             failures += 1
             sys.stderr.write("taut_lengths disagrees with the statuses\n")
     except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -373,12 +353,6 @@ def cmd_verify_cert(args) -> int:
     undecided = {"inconclusive": inconclusive} if inconclusive else {}  # within --budget
     _emit({"checked": checked, "failures": failures, **undecided}, args.out)
     return EXIT_REFUTED if failures else EXIT_BUDGET if inconclusive else EXIT_OK
-
-
-def spectrum_claims(sp: Spectrum) -> dict:
-    """A bare claims list for verify-cert, each claim with its presentation."""
-    claims = [c for s in sp.statuses for c in s.claims]
-    return {"claims": [dict(c.to_json(), presentation=c.presentation.to_json()) for c in claims]}
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +364,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tautloop")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--budget", default=None, help="cosets:N,deductions:N,depth:N")
+    def common(p, budget=True):
+        if budget:
+            p.add_argument("--budget", default=None, help="cosets:N,deductions:N,depth:N")
         p.add_argument("--out", default=None, help="write the JSON report here")
 
     cx = sub.add_parser("complex", help="complex analysis")
@@ -436,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     kr.add_argument("--k", type=int, required=True)
     kr.add_argument("--horizon1", type=int, default=None)
     kr.add_argument("--horizon2", type=int, default=None)
-    common(kr)
+    common(kr, budget=False)
     kr.set_defaults(func=cmd_krelated)
 
     sc = sub.add_parser("schedule", help="constants and interval schedule")
@@ -448,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--nmax", type=int, default=2)
     sc.add_argument("--f", default="")
     sc.add_argument("--fprime", default="")
-    common(sc)
+    common(sc, budget=False)
     sc.set_defaults(func=cmd_schedule)
 
     ks = sub.add_parser("kernel-search", help="shortest kernel element search")

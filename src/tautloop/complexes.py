@@ -112,19 +112,14 @@ class SimpleGraph:
 
 
 @dataclass(frozen=True)
-class FlagComplex:
-    """Clique complex of a simple graph; simplices are derived, not stored."""
+class FlagComplex(SimpleGraph):
+    """Clique complex of a simple graph, and that graph; simplices are derived, not stored."""
 
-    vertices: tuple[str, ...]
-    edges: frozenset[frozenset[str]]
     _cliques: tuple[tuple[str, ...], ...] = field(default=None, compare=False, repr=False)
     _trees: dict = field(default_factory=dict, compare=False, repr=False)  # basepoint -> tree, chords
 
     def graph(self) -> SimpleGraph:
         return SimpleGraph(self.vertices, self.edges)
-
-    def has_edge(self, u: str, v: str) -> bool:
-        return frozenset((u, v)) in self.edges
 
     def simplices(self) -> tuple[tuple[str, ...], ...]:
         """All cliques in vertex order, smallest dimension first."""
@@ -157,15 +152,11 @@ class FlagComplex:
     def is_connected(self) -> bool:
         if not self.vertices:
             return True
-        graph = self.graph()
-        nbrs = {u: [(v, ()) for v in graph.neighbors(u)] for u in self.vertices}
+        nbrs = {u: [(v, ()) for v in self.neighbors(u)] for u in self.vertices}
         return len(bfs(nbrs, self.vertices[0])) == len(self.vertices)
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** (len(s) - 1) for s in self.simplices())
-
-    def to_json(self) -> dict:
-        return self.graph().to_json()
 
     @classmethod
     def from_json(cls, data: dict) -> "FlagComplex":
@@ -306,7 +297,7 @@ def spanning_tree(complex_: FlagComplex, basepoint: str) -> frozenset[frozenset[
         if not grown:
             raise ComplexError("complex is disconnected")
     chords = {}
-    for u, v in complex_.graph().sorted_edges():
+    for u, v in complex_.sorted_edges():
         letter = () if frozenset((u, v)) in tree else ((edge_symbol(u, v), 1),)
         chords[u, v], chords[v, u] = letter, words.invert(letter)
     complex_._trees[basepoint] = (frozenset(tree), chords)
@@ -334,7 +325,7 @@ def pi1_presentation(complex_: FlagComplex, basepoint: str | None = None):
     if basepoint is None:
         basepoint = complex_.vertices[0]
     tree = spanning_tree(complex_, basepoint)
-    gens = [edge_symbol(*e) for e in complex_.graph().sorted_edges() if frozenset(e) not in tree]
+    gens = [edge_symbol(*e) for e in complex_.sorted_edges() if frozenset(e) not in tree]
     relators = [loop_word(complex_, EdgeLoop(s), basepoint) for s in complex_.simplices_of_dim(2)]
     return _eliminate_unit_relators(GroupPresentation.build(gens, relators))
 

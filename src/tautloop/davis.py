@@ -414,6 +414,8 @@ def semiker_experiment(
     """Enumerate kernel elements of J(S) -> J(T) up to max_len and verify the
     transfer bound: each of length > N admits g in ker(G(S) -> G(T)) - {1}
     with l_G(g) <= l_J(w)."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be nonnegative, got {max_len}")
     ga_s, orbits_s = instance_s
     ga_t, _ = instance_t
     n1 = compute_N1(ga_s, orbits_s)

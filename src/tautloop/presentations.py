@@ -296,7 +296,7 @@ def build_P(complex_, omega, s_set: Iterable[int]) -> GroupPresentation:
     gens: list[str] = []
     pairs: list[tuple[str, str]] = []
     relators: list[Word] = []
-    for u, v in complex_.graph().sorted_edges():
+    for u, v in complex_.sorted_edges():
         a, b = edge_symbol(u, v), edge_symbol(v, u)
         gens.extend([a, b])
         pairs.append((a, b))
@@ -319,17 +319,15 @@ def build_P(complex_, omega, s_set: Iterable[int]) -> GroupPresentation:
 def build_RAAG(complex_) -> GroupPresentation:
     """Right-angled Artin presentation: one commutator per edge."""
     gens = list(complex_.vertices)
-    relators = [
-        ((u, 1), (v, 1), (u, -1), (v, -1)) for u, v in complex_.graph().sorted_edges()
-    ]
+    relators = [((u, 1), (v, 1), (u, -1), (v, -1)) for u, v in complex_.sorted_edges()]
     return GroupPresentation.build(gens, relators)
 
 
-def build_RACG(graph) -> GroupPresentation:
+def build_RACG(complex_) -> GroupPresentation:
     """Right-angled Coxeter presentation: v^2 per vertex, (vw)^2 per edge."""
-    gens = list(graph.vertices)
+    gens = list(complex_.vertices)
     relators: list[Word] = [((v, 1), (v, 1)) for v in gens]
-    for u, v in graph.sorted_edges():
+    for u, v in complex_.sorted_edges():
         relators.append(((u, 1), (v, 1), (u, 1), (v, 1)))
     return GroupPresentation.build(gens, relators)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import cayley, words
 from .complexes import EdgeLoop, FlagComplex, SimpleGraph, chord_words, loop_word
@@ -236,7 +236,7 @@ def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_
     shorter than the graph's, so any larger ball gives the same loops in the
     same order, the same first shortcuts and breadth-first geodesics, and so
     the same statuses and certificates."""
-    ball = cayley.build_ball(oracle, gens, max(horizon, 0) // 2, _rim=horizon % 2 == 1)
+    ball = cayley.build_ball(oracle, gens, horizon // 2, _rim=horizon % 2 == 1)
     loops = cayley.closed_loops(ball, horizon, ball.center)
     shortcuts = cayley.Shortcuts(ball.neighbor_map(), horizon)
     pairs = _one_loop_per_cyclic_word(zip(loops.words, loops.vertex_cycles), inverse_pairs)
@@ -302,6 +302,8 @@ def spectrum(
     oracle, gens, horizon: int, budget: Budget | None = None, inverse_pairs=()
 ) -> Spectrum:
     """Taut statuses for all lengths 3..horizon, sharing one ball."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     budget = budget or Budget()
     statuses = _ball_statuses(oracle, gens, horizon, range(3, horizon + 1), budget, inverse_pairs)
     return Spectrum(statuses, horizon)
@@ -324,6 +326,8 @@ def spectrum_of_graph(
     neighbour map, whose edges read their ``chord_words``; ``sorted_edges``
     keeps each vertex's neighbours in vertex order.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     budget = budget or Budget()
     complex_ = FlagComplex(graph.vertices, graph.edges)
     if not complex_.vertices or not complex_.is_connected():
@@ -384,13 +388,7 @@ class KRelatedness:
     first_unverifiable: int | None = None
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "k": self.k,
-            "threshold": self.threshold,
-            "witness": self.witness,
-            "first_unverifiable": self.first_unverifiable,
-        }
+        return asdict(self)
 
 
 def _ceil_div(a: int, b: int) -> int:

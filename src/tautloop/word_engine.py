@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from operator import add
 from typing import ClassVar, Sequence
 
@@ -58,11 +58,7 @@ class Budget:
             raise ValueError("budget fields must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "max_cosets": self.max_cosets,
-            "max_deductions": self.max_deductions,
-            "max_search_depth": self.max_search_depth,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "Budget":
@@ -949,6 +945,8 @@ def kernel_shortest_element(
     generators.  The result is certified minimal only when every shorter word
     resolved conclusively, otherwise it is flagged minimal-up-to-Unknowns.
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     if set(pres_s.generators) != set(pres_t.generators):
         raise ValueError("kernel search needs identical generating symbols")
     if quotient != Homomorphism.identity_on_generators(pres_s, pres_t):

@@ -242,7 +242,7 @@ def test_criterion_05_triangle_dimension_criterion():
         core = list(pres.core_generators())
         flat = taut_status(FreeGroupOracle(core), core, 3, budget)
         tri = flag_completion(cycle_graph(3))
-        gens = [edge_symbol(u, v) for u, v in tri.graph().sorted_edges()]
+        gens = [edge_symbol(u, v) for u, v in tri.sorted_edges()]
         filled = taut_status(BBOracle(tri), gens, 3, budget)
         _register_claims([flat, filled])
         ok = flat.status == NOT_TAUT and filled.status == TAUT

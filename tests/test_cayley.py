@@ -640,3 +640,8 @@ def test_closed_loops_keep_the_base_edge_bar_where_the_label_bar_loses_loops(mak
     reference = closed_walks(ball.neighbor_map(), max_len, (base,))
     assert list(zip(loops.vertex_cycles, loops.words)) == reference
     assert _thin(closed_walks(ball.neighbor_map(), max_len, (base,), True)) != _thin(reference)
+
+
+def test_a_negative_radius_is_rejected_with_its_value():
+    with pytest.raises(ValueError, match="^radius must be nonnegative, got -2$"):
+        build_ball(ZModOracle(5), ["t"], -2)

@@ -5,7 +5,7 @@ import pytest
 
 from tautloop import words
 from tautloop.cayley import ZModOracle
-from tautloop.cli import main, spectrum_claims
+from tautloop.cli import main
 from tautloop.complexes import EdgeLoop, FlagComplex, OmegaSet
 from tautloop.presentations import GroupPresentation, build_P
 from tautloop.spectrum import spectrum
@@ -225,6 +225,13 @@ def test_kernel_search(files, capsys):
     assert report["bound_respected"]
     assert report["predicted_lower_bound"]["display"] == "2"
     assert code in (0, 3)
+
+
+def spectrum_claims(sp) -> dict:
+    """A bare claims list for verify-cert, report format 1: each claim
+    carries its presentation."""
+    claims = [c for s in sp.statuses for c in s.claims]
+    return {"claims": [dict(c.to_json(), presentation=c.presentation.to_json()) for c in claims]}
 
 
 def test_verify_cert_round_trip(files, capsys):
@@ -965,3 +972,46 @@ def test_verify_cert_rejects_a_list_given_as_an_object(files, capsys, racg_c5_h7
     # claims and statuses are JSON lists; an object is malformed, not an empty list
     forge(racg_c5_h7_report)
     assert _malformed(files, capsys, racg_c5_h7_report)
+
+
+# -- flags where read, integer envelopes and exit 3 ---------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["krelated", "--h1", "3,4", "--h2", "3,5", "--k", "2", "--budget", "garbage"],
+    ["schedule", "--d", "2", "--beta", "4", "--budget", "garbage"],
+], ids=["krelated", "schedule"])
+def test_a_subcommand_that_reads_no_budget_takes_no_budget_flag(capsys, argv):
+    # the flag was accepted and ignored, with exit 0
+    assert exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --budget garbage" in captured.err
+
+
+@pytest.mark.parametrize("forge", [
+    lambda r: r.update(format=2.0),
+    lambda r: r.update(taut_lengths=[4.0]),
+], ids=["format-float", "taut-lengths-float"])
+def test_verify_cert_rejects_a_format_or_taut_length_that_is_no_json_integer(files, capsys, racg_c5_h7_report, forge):
+    # each equalled its integer, and the report replayed with exit 0
+    forge(racg_c5_h7_report)
+    assert _malformed(files, capsys, racg_c5_h7_report)
+
+
+def test_spectrum_out_of_budget_exits_3_with_its_unknown_length(files, capsys):
+    cube = {
+        "vertices": [str(i) for i in range(8)],
+        "edges": [[str(i), str(i ^ b)] for i in range(8) for b in (1, 2, 4) if i < i ^ b],
+    }
+    argv = ["spectrum", "--graph", files["dump"]("cube.json", cube), "--horizon", "6",
+            "--budget", "cosets:1,deductions:1,depth:1"]
+    code, out = run(argv, capsys)
+    assert code == 3
+    assert json.loads(out)["chart"] == ["   3 .", "   4 #", "   5 .", "   6 ?"]
+
+
+def test_complex_analyze_out_of_budget_exits_3(files, capsys):
+    argv = ["complex", "analyze", "--complex", files["c4"], "--omega", files["boundary"],
+            "--budget", "cosets:1,deductions:1,depth:1"]
+    code, out = run(argv, capsys)
+    assert code == 3 and json.loads(out)["normally_generates"] == {"status": "unknown"}

@@ -59,6 +59,9 @@ def test_flag_completion_idempotent_and_capped():
     big = SimpleGraph.build([str(i) for i in range(21)], [])
     with pytest.raises(ComplexError):
         flag_completion(big)
+    # reading a complex completes the graph it reads, so the cap holds there too
+    with pytest.raises(ComplexError, match="capped at 20"):
+        FlagComplex.from_json(big.to_json())
 
 
 def test_dimension_matches_brute_force_clique_number():
@@ -208,3 +211,16 @@ def test_complex_json_bytes(graph, text):
     # vertices in order, then each edge once, its ends and the edges in vertex order;
     # a homomorphism-image certificate carries these bytes as its payload
     assert json.dumps(flag_completion(graph).to_json()) == text
+
+
+def test_a_flag_complex_is_its_graph():
+    # the complex inherits the graph's edge test, neighbours, edge order and
+    # JSON, and defines none of its own; graph() still gives the bare graph
+    for name in ("has_edge", "neighbors", "sorted_edges", "to_json"):
+        assert name not in vars(FlagComplex)
+    c4 = cycle_graph(4)
+    cx = flag_completion(c4)
+    assert isinstance(cx, SimpleGraph) and cx.graph() == c4 and type(cx.graph()) is SimpleGraph
+    assert cx.sorted_edges() == c4.sorted_edges() and cx.neighbors("0") == ["1", "3"]
+    assert cx.has_edge("3", "0") and not cx.has_edge("0", "2")
+    assert cx != c4 and hash(cx) == hash(FlagComplex(c4.vertices, c4.edges))

@@ -299,3 +299,10 @@ def test_instance_json_round_trip():
     assert orbits2.gu_map() == orbits.gu_map()
     ga3, orbits3 = instance_from_json({"action": data["action"]})
     assert orbits3.vprime == orbits.vprime
+
+
+def test_semiker_rejects_a_negative_max_len():
+    instance = (C12_Z3, choose_orbits(C12_Z3))
+    hom = Homomorphism.identity_on_generators(C12_Z3.group, C12_Z3.group)
+    with pytest.raises(ValueError, match="^max_len must be nonnegative, got -1$"):
+        semiker_experiment(instance, instance, hom, -1)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 import sys
 from pathlib import Path
 from unittest import mock
@@ -784,3 +785,29 @@ def test_k_related_is_monotone_in_k(h1, h2, k):
     # a wider window and a higher threshold can only help
     if k_related(h1, h2, k).status == RELATED:
         assert k_related(h1, h2, k + 1).status == RELATED
+
+
+# -- natural bounds and records' JSON ----------------------------------------
+
+
+@pytest.mark.parametrize("call", [
+    lambda: spectrum(ZModOracle(5), ["t"], -1),
+    lambda: spectrum_of_graph(cycle_graph(5), -1),
+], ids=["spectrum", "spectrum-of-graph"])
+def test_a_negative_horizon_is_rejected(call):
+    # it gave a spectrum of no lengths, {"format": 2, "horizon": -1, "statuses": []}
+    with pytest.raises(ValueError, match="^horizon must be nonnegative, got -1$"):
+        call()
+
+
+@pytest.mark.parametrize("h1, h2, k, text", [
+    (LengthSet.build([50]), LengthSet.build([10]), 3,
+     '{"status": "not_related", "k": 3, "threshold": 17, "witness": 50, "first_unverifiable": null}'),
+    (LengthSet.build([5, 17]), LengthSet.build([5, 17]), 2,
+     '{"status": "related", "k": 2, "threshold": 10, "witness": null, "first_unverifiable": null}'),
+    (LengthSet.build([5], horizon=10), LengthSet.build([5]), 1,
+     '{"status": "unknown_beyond_horizon", "k": 1, "threshold": 5, "witness": null, "first_unverifiable": 11}'),
+], ids=["not-related", "related", "beyond-horizon"])
+def test_k_relatedness_json_bytes(h1, h2, k, text):
+    # the keys in field order, the bytes written before the form became the field list
+    assert json.dumps(k_related(h1, h2, k).to_json()) == text

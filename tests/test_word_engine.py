@@ -720,3 +720,70 @@ def test_a_letter_with_exponent_two_is_bound_to_no_verdict():
     honest = TriState("proved", NormalClosureDerivation((("b", 1),), inserts_b_inverse))
     assert verify_certificate(pres, honest) is True
     assert WordProblemEngine(pres).is_trivial((("a", 1), ("a", 1))).refuted
+
+
+# -- natural bounds, unknowns in the kernel search, replay rejections --------
+
+
+def test_kernel_search_rejects_a_negative_radius():
+    # it searched nothing and returned certified_lower_bound 1
+    p = pres("a", "a a a")
+    hom = Homomorphism.identity_on_generators(p, p)
+    with pytest.raises(ValueError, match="^radius must be nonnegative, got -1$"):
+        kernel_shortest_element(p, p, hom, -1, BUDGET)
+
+
+Z2 = pres("ab", "a b a- b-")
+
+
+@pytest.mark.parametrize("radius, unknowns", [(5, 0), (6, 24)])
+def test_kernel_search_counts_its_unknowns(radius, unknowns):
+    # Z^2 to itself by the identity has no kernel.  Under depth 1 and 50
+    # cosets, 24 words of length 6 that die in the abelianization stay
+    # unknown (Z^2 is infinite, so no table completes), so at radius 6 the
+    # bound 6 holds only up to those unknowns
+    hom = Homomorphism.identity_on_generators(Z2, Z2)
+    result = kernel_shortest_element(Z2, Z2, hom, radius, Budget(50, 2000, 1))
+    assert not result.found and result.word is None
+    assert (result.unknown_count, result.minimal_up_to_unknowns) == (unknowns, unknowns > 0)
+    assert result.certified_lower_bound == 6
+
+
+def test_budget_json_bytes():
+    # the keys in field order, the bytes a coset-enumeration certificate carries
+    text = '{"max_cosets": 50, "max_deductions": 2000, "max_search_depth": 1}'
+    assert json.dumps(Budget(50, 2000, 1).to_json()) == text
+    assert Budget.from_json(json.loads(text)) == Budget(50, 2000, 1)
+
+
+Z3 = pres("a", "a a a")
+C4_RELABELLED = {"vertices": list("abcd"), "edges": [list("ab"), list("bc"), list("cd"), list("da")]}
+
+
+def _honest_hom_image():
+    """P(C4) and the hom-image refutation of a commutator of opposite edges."""
+    c4, p0 = _p_c4()
+    engine = WordProblemEngine(p0, Budget(50, 2000, 1), homs=(BBImageHom(c4),))
+    return p0, engine.is_trivial(w("e:0:1 e:2:3 e:0:1- e:2:3-"))
+
+
+@pytest.mark.parametrize("honest, forge", [
+    (lambda: (KLEIN, is_trivial(KLEIN, w("v"), BUDGET)),
+     lambda c: dataclasses.replace(c, images=(("v", (0, 0)),) + c.images[1:])),
+    (lambda: (Z3, is_trivial(Z3, w("a"), BUDGET)),
+     lambda c: QuotientWitness(2, (("a", (1, 0)),), c.word)),
+    (lambda: (Z3, TriState("proved", NormalClosureDerivation(w("a a a"), ((0, w("a- a- a-")),)))),
+     lambda c: dataclasses.replace(c, steps=((4, w("a- a- a-")),))),
+    (_honest_hom_image, lambda c: dataclasses.replace(c, hom_kind="raag")),
+    (_honest_hom_image, lambda c: dataclasses.replace(c, payload=C4_RELABELLED)),
+], ids=["non-permutation-image", "relator-off-the-identity", "step-past-the-end", "raag-hom-kind",
+        "payload-over-other-names"])
+def test_replay_rejects_a_tampered_certificate(honest, forge):
+    # each forgery of a certificate that replays fails on its own rejection
+    # branch: an image that is no permutation, a relator sent off the
+    # identity, an insertion at position |w| + 1, a homomorphism kind with
+    # no replay and a payload whose generators are not the presentation's
+    p, state = honest()
+    assert verify_certificate(p, state) is True
+    forged = TriState(state.status, forge(state.certificate))
+    assert verify_certificate(p, forged) is False
