@@ -59,6 +59,15 @@ def _load_json(path: str, parse=lambda data: data):
         raise ValueError(f"malformed {path}: {type(exc).__name__}: {exc}") from None
 
 
+def _load_flag(args, flag: str, reader: str, parse=lambda data: data):
+    """The JSON file that ``--flag`` names, read by ``_load_json``; one stderr
+    line naming the flag, and exit 2, when ``reader`` was not given it."""
+    path = getattr(args, flag)
+    if not path:
+        _usage_error(f"{reader} needs --{flag}")
+    return _load_json(path, parse)
+
+
 def _emit(data, out=None) -> None:
     text = json.dumps(data, sort_keys=True, indent=2) + "\n"
     if out:
@@ -98,9 +107,7 @@ def _make_oracle(args, budget: Budget):
     kind, _, arg = spec.partition(":")
     of_complex = {"racg": cayley.RacgOracle, "raag": cayley.RaagOracle, "bb": cayley.BBOracle}
     if kind in of_complex:
-        if not args.complex:
-            _usage_error(f"oracle {kind!r} needs --complex")
-        cx = _load_json(args.complex, FlagComplex.from_json)
+        cx = _load_flag(args, "complex", f"oracle {kind!r}", FlagComplex.from_json)
         gens = [edge_symbol(u, v) for u, v in cx.sorted_edges()] if kind == "bb" else list(cx.vertices)
         oracle = of_complex[kind](cx)
     elif kind == "free":
@@ -148,17 +155,17 @@ def cmd_complex_analyze(args) -> int:
 
 
 def cmd_present(args) -> int:
-    if args.kind == "p":
-        cx, omega = _load_json(args.complex, FlagComplex.from_json), _load_json(args.omega, OmegaSet.from_json)
-        pres = build_P(cx, omega, set(_parse_ints(args.s)))
-    elif args.kind == "raag":
-        pres = build_RAAG(_load_json(args.complex, FlagComplex.from_json))
-    elif args.kind == "racg":
-        pres = build_RACG(_load_json(args.complex, FlagComplex.from_json))
-    else:
+    reader = f"present {args.kind}"
+    if args.kind == "j":
         from . import davis
-        ga, orbits = davis.instance_from_json(_load_json(args.instance), _parse_budget(args.budget))
+        ga, orbits = davis.instance_from_json(_load_flag(args, "instance", reader), _parse_budget(args.budget))
         pres = davis.build_J(ga, orbits)
+    else:
+        cx = _load_flag(args, "complex", reader, FlagComplex.from_json)
+        if args.kind == "p":
+            pres = build_P(cx, _load_flag(args, "omega", reader, OmegaSet.from_json), set(_parse_ints(args.s)))
+        else:
+            pres = (build_RAAG if args.kind == "raag" else build_RACG)(cx)
     if args.format == "gap":
         sys.stdout.write(pres.gap_export())
     else:
@@ -226,13 +233,10 @@ def cmd_schedule(args) -> int:
         d, beta = args.d, args.beta
     c = args.C if args.C is not None else sched_mod.choose_C(d, beta)
     constants = sched_mod.Constants(d, beta, c)
-    f, fprime = _parse_ints(args.f), _parse_ints(args.fprime)
-    for n in [args.nmax] + f + fprime:
-        try:
-            sched_mod.check_index(n, c)
-        except sched_mod.ScheduleError as exc:
-            _usage_error(f"schedule indices: {exc}")
-    report = sched_mod.schedule_report(constants, args.nmax, f, fprime)
+    try:
+        report = sched_mod.schedule_report(constants, args.nmax, _parse_ints(args.f), _parse_ints(args.fprime))
+    except sched_mod.ScheduleError as exc:
+        _usage_error(f"schedule indices: {exc}")
     _emit(report, args.out)
     return EXIT_OK
 
@@ -285,14 +289,22 @@ def cmd_semiker(args) -> int:
     return EXIT_OK if report.passed else EXIT_REFUTED
 
 
-def _report_lengths(data) -> list:
-    """(claims, shared presentation, status) per length.  Format 2 writes the
-    presentation at each length with claims, format 1 (no ``format``) and a
-    bare claims list in each claim (None here); any other layout is malformed."""
+def _report_lengths(data) -> tuple[list, list | None]:
+    """A report read in full before anything is replayed: per length, its
+    claims as (word, presentation, verdict, word as written) and its (length,
+    status, vacuous), None in a bare claims list; and its ``taut_lengths``,
+    None if absent.  Format 2 writes the presentation at each length with
+    claims, format 1 (no ``format``) and a bare claims list in each claim;
+    any other layout is malformed."""
+
+    def claims_of(items, shared=None) -> list:
+        return [(words.from_json(c["word"]), shared or GroupPresentation.from_json(c["presentation"]),
+                 TriState.from_json(c["verdict"]), c["word"]) for c in items]
+
     if "statuses" not in data:
         if "format" in data:
             raise ValueError("a bare claims list has no format")
-        return [(words.json_list(data["claims"]), None, None)]
+        return [(claims_of(words.json_list(data["claims"])), None)], None
     shared = "format" in data
     if shared and words.json_int(data["format"]) != REPORT_FORMAT:
         raise ValueError(f"unknown report format {data['format']!r}")
@@ -302,56 +314,50 @@ def _report_lengths(data) -> list:
     if lengths != sorted(set(lengths)) or not all(3 <= length <= horizon for length in lengths):
         raise ValueError(f"status lengths {lengths} do not increase strictly within 3..{horizon}")
     out = []
-    for status in statuses:
+    for length, status in zip(lengths, statuses):
         claims = words.json_list(status["claims"])
         mixed = any("presentation" in claim for claim in claims) if shared else "presentation" in status
         if mixed:
-            raise ValueError(f"length {status.get('length')} mixes report formats")
+            raise ValueError(f"length {length} mixes report formats")
         pres = GroupPresentation.from_json(status["presentation"]) if shared and claims else None
-        out.append((claims, pres, status))
-    return out
+        out.append((claims_of(claims, pres), (length, status["status"], status["vacuous"])))
+    taut = data.get("taut_lengths")
+    return out, None if taut is None else [words.json_int(l) for l in words.json_list(taut)]
 
 
 def cmd_verify_cert(args) -> int:
     # a coset enumeration replays within --budget, whatever budget it records;
     # one that runs out of a --budget below its own is inconclusive (exit 3)
     budget = _parse_budget(args.budget)
-    failures = inconclusive = checked = 0
     try:
-        data = _load_json(args.report)
-        lengths = _report_lengths(data)
-        for claims, shared, status in lengths:
-            verdicts = []
-            for claim in claims:
-                w = words.from_json(claim["word"])
-                pres = shared or GroupPresentation.from_json(claim["presentation"])
-                verdict = TriState.from_json(claim["verdict"])
-                checked += 1
-                verdicts.append(verdict.status)
-                cert = verdict.certificate
-                # a certificate proves something only about the word it carries
-                replayed = (cert is None or cert.word == w) and verify_certificate(pres, verdict, budget)
-                if replayed is None:
-                    inconclusive += 1
-                    sys.stderr.write(f"certificate not replayed within --budget for word {claim['word']}\n")
-                elif not replayed:
-                    failures += 1
-                    sys.stderr.write(f"certificate failed for word {claim['word']}\n")
-            # a length's status must be the one its claims give under the per-length
-            # rule, and it is vacuous, a JSON boolean, exactly when it has none
-            if status and (status["status"] != status_from_verdicts(verdicts)
-                           or status["vacuous"] is not (not claims)):
-                failures += 1
-                sys.stderr.write(f"status of length {status.get('length')} contradicts its claims\n")
-        taut = [s["length"] for _, _, s in lengths if s is not None and s["status"] == TAUT]
-        if [words.json_int(l) for l in words.json_list(data.get("taut_lengths", taut))] != taut:
-            failures += 1
-            sys.stderr.write("taut_lengths disagrees with the statuses\n")
-    except (OSError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        lengths, listed_taut = _load_json(args.report, _report_lengths)
+    except (OSError, ValueError) as exc:
         sys.stderr.write(f"malformed report {args.report}: {type(exc).__name__}: {exc}\n")
         return EXIT_USAGE
+    failures = inconclusive = 0
+    for claims, fields in lengths:
+        for w, pres, verdict, written in claims:
+            cert = verdict.certificate
+            # a certificate proves something only about the word it carries
+            replayed = (cert is None or cert.word == w) and verify_certificate(pres, verdict, budget)
+            if replayed is None:
+                inconclusive += 1
+                sys.stderr.write(f"certificate not replayed within --budget for word {written}\n")
+            elif not replayed:
+                failures += 1
+                sys.stderr.write(f"certificate failed for word {written}\n")
+        # a length's status must be the one its claims give under the per-length
+        # rule, and it is vacuous, a JSON boolean, exactly when it has none
+        if fields and (fields[1] != status_from_verdicts([verdict.status for _, _, verdict, _ in claims])
+                       or fields[2] is not (not claims)):
+            failures += 1
+            sys.stderr.write(f"status of length {fields[0]} contradicts its claims\n")
+    taut = [fields[0] for _, fields in lengths if fields and fields[1] == TAUT]
+    if listed_taut not in (None, taut):
+        failures += 1
+        sys.stderr.write("taut_lengths disagrees with the statuses\n")
     undecided = {"inconclusive": inconclusive} if inconclusive else {}  # within --budget
-    _emit({"checked": checked, "failures": failures, **undecided}, args.out)
+    _emit({"checked": sum(len(claims) for claims, _ in lengths), "failures": failures, **undecided}, args.out)
     return EXIT_REFUTED if failures else EXIT_BUDGET if inconclusive else EXIT_OK
 
 

@@ -370,11 +370,7 @@ def normally_generates(complex_: FlagComplex, omega: OmegaSet, budget=None):
     from . import word_engine
     from .presentations import GroupPresentation
 
-    if not complex_.is_connected():
-        raise ComplexError("complex is disconnected")
     omega.validate(complex_)
-    if budget is None:
-        budget = word_engine.Budget()
     base = pi1_presentation(complex_)
     # a chord that the elimination killed is trivial in pi1: drop its letters
     live = set(base.generators)

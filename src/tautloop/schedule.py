@@ -23,9 +23,10 @@ class ScheduleError(ValueError):
 def check_index(n: int, C: int | None = None) -> None:
     """The one rule for an index n of the schedule: a natural, at most 32 so
     that C^(2^n) can be materialised exactly, and, given C, small enough that
-    the least value reported for it, C^(2^n - 1), prints under the
-    interpreter's limit on digits.  That power is squared up from n = 0 and
-    given up as soon as it passes the limit."""
+    its obstruction threshold C^(2^n - 1) prints under the interpreter's limit
+    on digits.  That power is squared up from n = 0 and given up as soon as
+    it passes the limit.  The report writes larger values for n too, up to
+    about C^(2^(n+1)); ``schedule_report`` bounds those where it writes them."""
     if n < 0:
         raise ScheduleError("indices are naturals")
     if n > 32:
@@ -293,12 +294,21 @@ def qi_obstruction(F: Iterable[int], Fprime: Iterable[int], C: int) -> dict[int,
 
 
 def schedule_report(constants: Constants, n_max: int, F=(), Fprime=()) -> dict:
-    """JSON-ready report with all big integers as decimal strings."""
+    """JSON-ready report with all big integers as decimal strings.  Every
+    index obeys ``check_index`` before any value is built, and a value past
+    the interpreter's limit on digits, such as the square of interval n_max's
+    lower end, is a ``ScheduleError`` naming the largest index; the values
+    grow with the index."""
+    for n in [n_max, *F, *Fprime]:
+        check_index(n, constants.C)
     sched = predicted_intervals(constants, n_max)
-    report = sched.to_json()
-    if F or Fprime:
-        report["qi_obstruction"] = {
-            str(n): str(v) for n, v in qi_obstruction(F, Fprime, constants.C).items()
-        }
-        report["S_of_F"] = [str(x) for x in S_of_F(constants.C, F)]
+    obstruction, s_of_f = qi_obstruction(F, Fprime, constants.C), S_of_F(constants.C, F)
+    try:
+        report = sched.to_json()
+        if F or Fprime:
+            report["qi_obstruction"] = {str(n): str(v) for n, v in obstruction.items()}
+            report["S_of_F"] = [str(x) for x in s_of_f]
+    except ValueError:  # int -> str past the limit
+        limit = sys.get_int_max_str_digits()
+        raise ScheduleError(f"index {max([n_max, *F])} gives values of more than {limit} digits") from None
     return report

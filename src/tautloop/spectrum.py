@@ -189,15 +189,16 @@ def _first_insertion(state, target, piece, variants) -> tuple | None:
     return None
 
 
-def _length_status(pres, coding, exact, length: int, budget: Budget, shortcuts) -> LengthStatus:
+def _length_status(pres, coding, exact, length: int, budget: Budget | None, shortcuts) -> LengthStatus:
     """The one per-length rule: a length is taut when some loop of it stays
     nontrivial in the quotient ``pres`` by the shorter loops, and not taut
     when every loop of it is proved trivial there.
 
     ``exact`` holds (word, vertex cycle) pairs.  Given the ``shortcuts`` of
     the graph the cycles live in, a loop with a shortcut is proved by its
-    splitting derivation; the engine, built on first need, decides the rest.
-    An unknown length keeps the claims it made, undecided ones included."""
+    splitting derivation; the engine, built on first need, decides the rest
+    within the budget, its default when None.  An unknown length keeps the
+    claims it made, undecided ones included."""
     engine = None
     claims = []
     for w, cycle in exact:
@@ -224,7 +225,7 @@ def status_from_verdicts(verdicts) -> str:
     return UNKNOWN
 
 
-def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget, inverse_pairs):
+def _ball_statuses(oracle, gens, horizon: int, lengths, budget: Budget | None, inverse_pairs):
     """Statuses of the given lengths from the metric ball of radius h/2 for
     the horizon h: radius h//2, with the edges among its farthest vertices
     (its rim) only when h is odd.
@@ -255,7 +256,7 @@ def _one_loop_per_cyclic_word(loops, inverse_pairs) -> list:
     return list(kept.values())
 
 
-def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget, shortcuts):
+def _statuses(gens, inverse_pairs, loops, lengths, budget: Budget | None, shortcuts):
     """The per-length rule at each of the lengths, in increasing order, for
     loops given as (word, vertex cycle) pairs in order of the cycle's length.
 
@@ -295,7 +296,7 @@ def taut_status(
     """Tautness of one length in the Cayley graph over an equality oracle."""
     if l < 3:
         raise ValueError("simplicial loops have length >= 3")
-    return _ball_statuses(oracle, gens, l, [l], budget or Budget(), inverse_pairs)[0]
+    return _ball_statuses(oracle, gens, l, [l], budget, inverse_pairs)[0]
 
 
 def spectrum(
@@ -304,7 +305,6 @@ def spectrum(
     """Taut statuses for all lengths 3..horizon, sharing one ball."""
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    budget = budget or Budget()
     statuses = _ball_statuses(oracle, gens, horizon, range(3, horizon + 1), budget, inverse_pairs)
     return Spectrum(statuses, horizon)
 
@@ -328,10 +328,10 @@ def spectrum_of_graph(
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    budget = budget or Budget()
-    complex_ = FlagComplex(graph.vertices, graph.edges)
-    if not complex_.vertices or not complex_.is_connected():
+    # no vertex to root a spanning tree at; ``chord_words`` rejects a disconnected graph
+    if not graph.vertices:
         raise ValueError("spectrum needs a connected graph")
+    complex_ = FlagComplex(graph.vertices, graph.edges)
     chords = chord_words(complex_, complex_.vertices[0])
     nbrs = {v: [] for v in graph.vertices}
     for u, v in graph.sorted_edges():
@@ -366,6 +366,8 @@ class LengthSet:
         elems = tuple(sorted(set(int(e) for e in elements)))
         if any(e < 1 for e in elems):
             raise ValueError("lengths are positive naturals")
+        if horizon is not None and horizon < 0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon}")
         if horizon is not None and elems and elems[-1] > horizon:
             raise ValueError("element beyond horizon")
         return cls(elems, horizon)

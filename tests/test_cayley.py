@@ -645,3 +645,8 @@ def test_closed_loops_keep_the_base_edge_bar_where_the_label_bar_loses_loops(mak
 def test_a_negative_radius_is_rejected_with_its_value():
     with pytest.raises(ValueError, match="^radius must be nonnegative, got -2$"):
         build_ball(ZModOracle(5), ["t"], -2)
+
+
+def test_a_cyclic_group_of_negative_order_is_rejected():
+    with pytest.raises(ValueError, match="^order must be nonnegative$"):
+        ZModOracle(-1)

@@ -7,7 +7,7 @@ from tautloop import words
 from tautloop.cayley import ZModOracle
 from tautloop.cli import main
 from tautloop.complexes import EdgeLoop, FlagComplex, OmegaSet
-from tautloop.presentations import GroupPresentation, build_P
+from tautloop.presentations import GroupPresentation, build_P, build_RAAG
 from tautloop.spectrum import spectrum
 from tautloop.word_engine import PROVED, Budget, CosetEnumerationCertificate, TriState
 from tautloop.words import canonical_cyclic
@@ -1015,3 +1015,80 @@ def test_complex_analyze_out_of_budget_exits_3(files, capsys):
             "--budget", "cosets:1,deductions:1,depth:1"]
     code, out = run(argv, capsys)
     assert code == 3 and json.loads(out)["normally_generates"] == {"status": "unknown"}
+
+
+# -- file flags, schedule digits and reading a report before replay ----------
+
+
+@pytest.mark.parametrize("argv, message", [
+    (lambda f: ["present", "raag"], "present raag needs --complex"),
+    (lambda f: ["present", "p", "--complex", f["c4"]], "present p needs --omega"),
+    (lambda f: ["present", "j"], "present j needs --instance"),
+], ids=["raag-without-complex", "p-without-omega", "j-without-instance"])
+def test_present_without_a_file_flag_it_reads_names_the_flag(files, capsys, argv, message):
+    # each opened None, a TypeError traceback with exit 1
+    assert exit_code(argv(files)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message + "\n"
+
+
+@pytest.mark.parametrize("argv, index", [
+    (["--nmax", "12"], 12),
+    (["--C", "126", "--nmax", "10"], 10),
+    (["--C", "126", "--nmax", "0", "--f", "11"], 11),
+], ids=["nmax-12", "C-126-nmax-10", "C-126-f-11"])
+def test_schedule_values_past_the_digit_limit_are_a_usage_error(capsys, default_digit_limit, argv, index):
+    # check_index accepts each index; the report's larger values, the square of
+    # the last interval's lower end or C^(2^11) in S_of_F, have more than 4300
+    # digits and ended in the interpreter's own ValueError
+    assert exit_code(["schedule", "--d", "1", "--beta", "4", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"schedule indices: index {index} gives values of more than 4300 digits\n"
+
+
+def test_schedule_without_constants_or_a_complex_is_a_usage_error(capsys):
+    assert exit_code(["schedule", "--nmax", "2"]) == 2
+    assert capsys.readouterr().err == "need either --complex/--omega or --d/--beta\n"
+
+
+def test_krelated_rejects_a_negative_horizon(capsys):
+    # it exited 0, unknown beyond the horizon from length 5
+    assert exit_code(["krelated", "--h1", "", "--h2", "3", "--k", "1", "--horizon1", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "bad input: ValueError: horizon must be nonnegative, got -5\n"
+
+
+def test_verify_cert_reads_the_whole_report_before_replaying(files, capsys, racg_c5_h7_report):
+    # a certificate that fails replay, then a claim whose word is no list: the
+    # report is malformed, and its failure line was printed before that line
+    _claim(racg_c5_h7_report, 4)["verdict"]["certificate"]["word"] *= 2  # the first claim
+    _claim(racg_c5_h7_report, 6)["word"] = "01"
+    code = main(["verify-cert", files["dump"]("forged.json", racg_c5_h7_report)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1
+
+
+def test_present_raag_writes_the_library_presentation(files, capsys):
+    code, out = run(["present", "raag", "--complex", files["c4"]], capsys)
+    c4 = FlagComplex.from_json(_load(files["c4"]))
+    assert code == 0 and out == json.dumps(build_RAAG(c4).to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def test_present_j_writes_the_library_presentation(files, capsys):
+    from tautloop.davis import build_J, instance_from_json
+
+    path = _cycle_rotation_instance(files)
+    code, out = run(["present", "j", "--instance", path], capsys)
+    ga, orbits = instance_from_json(_load(path))
+    assert code == 0 and out == json.dumps(build_J(ga, orbits).to_json(), sort_keys=True, indent=2) + "\n"
+
+
+def test_ball_of_a_cyclic_group_in_dot(capsys):
+    code, out = run(["ball", "--oracle", "zmod:3", "--radius", "1", "--format", "dot"], capsys)
+    # Z/3's Cayley graph is a triangle, all of it within radius 1
+    assert code == 0 and out == (
+        'graph ball {\n  n0 [label="1"];\n  n1 [label="t"];\n  n2 [label="t^-1"];\n'
+        "  n0 -- n1;\n  n0 -- n2;\n  n1 -- n2;\n}\n"
+    )

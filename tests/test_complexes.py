@@ -224,3 +224,22 @@ def test_a_flag_complex_is_its_graph():
     assert cx.sorted_edges() == c4.sorted_edges() and cx.neighbors("0") == ["1", "3"]
     assert cx.has_edge("3", "0") and not cx.has_edge("0", "2")
     assert cx != c4 and hash(cx) == hash(FlagComplex(c4.vertices, c4.edges))
+
+
+def test_normally_generates_rejects_a_disconnected_complex():
+    # a 4-cycle and a separate edge: its spanning tree cannot reach every vertex
+    split = flag_completion(SimpleGraph.build(list("012345"), [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0"),
+                                                             ("4", "5")]))
+    omega = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))
+    with pytest.raises(ComplexError, match="^complex is disconnected$"):
+        normally_generates(split, omega)
+
+
+def test_homology_outside_the_dimension_is_rejected():
+    with pytest.raises(ComplexError, match="^degree 2 outside 0..1$"):
+        reduced_homology(C4, 2)
+
+
+def test_a_spanning_tree_at_an_unknown_basepoint_is_rejected():
+    with pytest.raises(ComplexError, match="^unknown basepoint '9'$"):
+        spanning_tree(C4, "9")

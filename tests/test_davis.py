@@ -306,3 +306,9 @@ def test_semiker_rejects_a_negative_max_len():
     hom = Homomorphism.identity_on_generators(C12_Z3.group, C12_Z3.group)
     with pytest.raises(ValueError, match="^max_len must be nonnegative, got -1$"):
         semiker_experiment(instance, instance, hom, -1)
+
+
+def test_an_unknown_generator_does_not_act():
+    assert C12_Z3.apply_word((("g", 1),), "0") == "4"
+    with pytest.raises(DavisError, match="^unknown generator 'h'$"):
+        C12_Z3.apply_word((("h", 1),), "0")

@@ -75,6 +75,9 @@ def test_retract_examples():
     not_induced = graph("uw", [("u", "w")])
     with pytest.raises(NormalFormError):
         retract(PATH3, not_induced, ("u",))
+    # u and v without their edge: a subgraph of the path, not a full one
+    with pytest.raises(NormalFormError, match="full"):
+        retract(PATH3, graph("uv", []), ("u",))
 
 
 def test_retract_section_is_identity():

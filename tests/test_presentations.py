@@ -263,3 +263,9 @@ def test_encode_rejects_a_letter_whose_exponent_is_not_one(letter):
     pres = GroupPresentation.build(["a", "b"], [w("b")])
     with pytest.raises(PresentationError, match="bad exponent"):
         pres.encode((letter,))
+
+
+def test_build_P_rejects_a_disconnected_complex():
+    split = flag_completion(SimpleGraph.build(list("0123"), [("0", "1"), ("2", "3")]))
+    with pytest.raises(PresentationError, match="^complex must be connected$"):
+        build_P(split, OmegaSet(()), {0})

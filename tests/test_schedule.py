@@ -287,3 +287,15 @@ def test_schedule_report_serializes_big_integers_as_strings():
     text = json.dumps(report, sort_keys=True)
     assert json.loads(text) == report
     assert all(isinstance(iv["upper"], str) for iv in report["intervals"])
+
+
+def test_schedule_report_bounds_the_values_it_writes(default_digit_limit):
+    # check_index accepts each index, but the square of interval 12's lower
+    # end, 5^8192, and C^(2^11) = 126^2048 in S_of_F have more than 4300
+    # digits; they raised the interpreter's ValueError
+    assert schedule_report(Constants(1, 4, 5), 11)["intervals"][-1]["upper"] == str(4 * 5**2048)
+    with pytest.raises(ScheduleError, match="^index 12 gives values of more than 4300 digits$"):
+        schedule_report(Constants(1, 4, 5), 12)
+    with pytest.raises(ScheduleError, match="^index 11 gives values of more than 4300 digits$"):
+        schedule_report(Constants(1, 4, 126), 0, F=[11])
+    assert schedule_report(Constants(1, 4, 126), 0, Fprime=[11])["qi_obstruction"] == {"11": str(126**2047)}

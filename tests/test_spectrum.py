@@ -19,7 +19,7 @@ from tautloop.cayley import (
     ZModOracle,
     closed_walks,
 )
-from tautloop.complexes import SimpleGraph, edge_symbol, flag_completion, pi1_presentation
+from tautloop.complexes import ComplexError, SimpleGraph, edge_symbol, flag_completion, pi1_presentation
 from tautloop.presentations import GroupPresentation, build_RACG, truncated_presentation
 from tautloop.spectrum import (
     NOT_RELATED,
@@ -167,7 +167,8 @@ def test_complete_graph_has_four_triangles_and_spectrum_three():
 
 
 def test_disconnected_graph_rejected():
-    with pytest.raises(ValueError):
+    # by its spanning tree; spectrum_of_graph itself tests only for no vertices
+    with pytest.raises(ComplexError, match="^complex is disconnected$"):
         spectrum_of_graph(graph("abcd", [("a", "b"), ("c", "d")]), 4, BUDGET)
 
 
@@ -811,3 +812,26 @@ def test_a_negative_horizon_is_rejected(call):
 def test_k_relatedness_json_bytes(h1, h2, k, text):
     # the keys in field order, the bytes written before the form became the field list
     assert json.dumps(k_related(h1, h2, k).to_json()) == text
+
+
+@pytest.mark.parametrize("run", [
+    lambda budget: spectrum(RacgOracle(cycle_graph(5)), list("01234"), 7, budget).dumps(),
+    lambda budget: json.dumps(taut_status(RacgOracle(cycle_graph(5)), list("01234"), 6, budget).to_json()),
+    lambda budget: spectrum_of_graph(CUBE, 6, budget).dumps(),
+], ids=["spectrum", "taut-status", "graph"])
+def test_no_budget_is_the_default_budget(run):
+    # the engine turns None into Budget(); no caller does it first
+    assert run(None) == run(Budget())
+
+
+def test_an_enumeration_without_a_budget_records_the_default_budget():
+    sp = spectrum_of_graph(CUBE, 6)
+    certs = [c.state.certificate for s in sp.statuses for c in s.claims]
+    enumerations = [c for c in certs if isinstance(c, CosetEnumerationCertificate)]
+    assert enumerations and all(c.budget == Budget() for c in enumerations)
+
+
+def test_a_length_set_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="^horizon must be nonnegative, got -5$"):
+        LengthSet.build([], -5)
+    assert LengthSet.build([], 0) == LengthSet((), 0)

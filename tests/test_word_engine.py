@@ -787,3 +787,18 @@ def test_replay_rejects_a_tampered_certificate(honest, forge):
     assert verify_certificate(p, state) is True
     forged = TriState(state.status, forge(state.certificate))
     assert verify_certificate(p, forged) is False
+
+
+def test_kernel_search_rejects_different_generating_sets():
+    # no identity on generators joins them, whatever quotient is passed
+    p_s, p_t = pres("ab"), pres("abc", "c")
+    for quotient in (None, Homomorphism.identity_on_generators(p_s, p_s)):
+        with pytest.raises(ValueError):
+            kernel_shortest_element(p_s, p_t, quotient, 3, BUDGET)
+    with pytest.raises(PresentationError, match="^generator sets differ$"):
+        Homomorphism.identity_on_generators(p_s, p_t)
+
+
+def test_finite_quotient_search_caps_the_degree():
+    with pytest.raises(ValueError, match="^max_degree capped at 8$"):
+        finite_quotient_search(pres("a"), (), 9)
