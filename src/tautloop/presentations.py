@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import words
-from .complexes import edge_symbol
+from .complexes import edge_symbol, spanning_tree
 from .words import Letter, Word
 
 
@@ -289,8 +289,8 @@ def build_P(complex_, omega, s_set: Iterable[int]) -> GroupPresentation:
     s_vals = sorted(set(int(n) for n in s_set))
     if 0 not in s_vals:
         raise PresentationError("the standard generating set requires 0 in S")
-    if not complex_.is_connected():
-        raise PresentationError("complex must be connected")
+    if complex_.vertices:  # a disconnected complex is the spanning tree's ComplexError
+        spanning_tree(complex_, complex_.vertices[0])
     omega.validate(complex_)
 
     gens: list[str] = []

@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import asdict, astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from operator import add
 from typing import ClassVar, Sequence
 
@@ -284,23 +284,54 @@ def todd_coxeter(
 # ---------------------------------------------------------------------------
 
 
+def _same(value):
+    return value
+
+
+# certificate field -> (writer to JSON, reader from JSON); a reader raises on input out of shape
+_FIELDS = {
+    "word": (words.to_json, words.from_json),
+    "image": (words.to_json, words.from_json),
+    "degree": (_same, words.json_int),
+    "n_cosets": (_same, words.json_int),
+    "coset": (_same, words.json_int),
+    "images": (
+        lambda images: {g: list(p) for g, p in images},
+        lambda data: tuple(sorted((g, tuple(map(words.json_int, words.json_list(p)))) for g, p in data.items())),
+    ),
+    "steps": (
+        lambda steps: [[pos, words.to_json(ins)] for pos, ins in steps],
+        lambda data: tuple((words.json_int(pos), words.from_json(ins)) for pos, ins in data),
+    ),
+    "budget": (Budget.to_json, Budget.from_json),
+    "table_hash": (_same, words.json_str),
+    "hom_kind": (_same, words.json_str),
+    "payload": (_same, _same),  # replay decides whether it is a complex
+}
+
+
+class _Certificate:
+    """A certificate's JSON: its ``kind`` under ``"type"``, then each field
+    under its own name, written and read in field order through ``_FIELDS``."""
+
+    def to_json(self) -> dict:
+        return {"type": self.kind} | {f.name: _FIELDS[f.name][0](getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, data: dict):
+        return cls(*(_FIELDS[f.name][1](data[f.name]) for f in fields(cls)))
+
+
 @dataclass(frozen=True)
-class FreeReductionCertificate:
+class FreeReductionCertificate(_Certificate):
     """The word freely reduces to the empty word; replay reduces it again."""
 
     kind: ClassVar[str] = "free_reduction"
     word: Word
 
-    def to_json(self) -> dict:
-        return {"type": self.kind, "word": words.to_json(self.word)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FreeReductionCertificate":
-        return cls(words.from_json(data["word"]))
-
 
 @dataclass(frozen=True)
-class QuotientWitness:
+class QuotientWitness(_Certificate):
     """Finite permutation representation separating a word from the identity.
 
     Every relator must map to the identity permutation and the word to a
@@ -312,49 +343,18 @@ class QuotientWitness:
     images: tuple[tuple[str, tuple[int, ...]], ...]  # core generator -> permutation
     word: Word
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "degree": self.degree,
-            "images": {g: list(p) for g, p in self.images},
-            "word": words.to_json(self.word),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QuotientWitness":
-        return cls(
-            words.json_int(data["degree"]),
-            tuple(sorted((g, tuple(map(words.json_int, words.json_list(p))))
-                         for g, p in data["images"].items())),
-            words.from_json(data["word"]),
-        )
-
 
 @dataclass(frozen=True)
-class NormalClosureDerivation:
+class NormalClosureDerivation(_Certificate):
     """Sequence of conjugated-relator insertions reducing a word to empty."""
 
     kind: ClassVar[str] = "normal_closure_derivation"
     word: Word
     steps: tuple[tuple[int, Word], ...]  # (position, inserted relator variant)
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "word": words.to_json(self.word),
-            "steps": [[pos, words.to_json(ins)] for pos, ins in self.steps],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "NormalClosureDerivation":
-        return cls(
-            words.from_json(data["word"]),
-            tuple((words.json_int(pos), words.from_json(ins)) for pos, ins in data["steps"]),
-        )
-
 
 @dataclass(frozen=True)
-class CosetEnumerationCertificate:
+class CosetEnumerationCertificate(_Certificate):
     """Outcome of a deterministic completed enumeration.
 
     Replay re-runs the enumeration under the recorded budget, capped by the
@@ -371,29 +371,9 @@ class CosetEnumerationCertificate:
     word: Word
     coset: int
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "budget": self.budget.to_json(),
-            "n_cosets": self.n_cosets,
-            "table_hash": self.table_hash,
-            "word": words.to_json(self.word),
-            "coset": self.coset,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CosetEnumerationCertificate":
-        return cls(
-            Budget.from_json(data["budget"]),
-            words.json_int(data["n_cosets"]),
-            data["table_hash"],
-            words.from_json(data["word"]),
-            words.json_int(data["coset"]),
-        )
-
 
 @dataclass(frozen=True)
-class HomImageWitness:
+class HomImageWitness(_Certificate):
     """Nontrivial image under a registered homomorphism with an exact engine."""
 
     kind: ClassVar[str] = "hom_image"
@@ -401,24 +381,6 @@ class HomImageWitness:
     payload: dict
     word: Word
     image: Word
-
-    def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "hom_kind": self.hom_kind,
-            "payload": self.payload,
-            "word": words.to_json(self.word),
-            "image": words.to_json(self.image),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HomImageWitness":
-        return cls(
-            data["hom_kind"],
-            data["payload"],
-            words.from_json(data["word"]),
-            words.from_json(data["image"]),
-        )
 
 
 CERT_TYPES = {

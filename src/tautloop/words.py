@@ -112,6 +112,13 @@ def json_int(data) -> int:
     return data
 
 
+def json_str(data) -> str:
+    """``data`` if it is a JSON string; a number, list, object or null is not."""
+    if not isinstance(data, str):
+        raise TypeError(f"expected a string, got {type(data).__name__}")
+    return data
+
+
 def from_json(data: Iterable) -> Word:
     return word(json_list(data))
 

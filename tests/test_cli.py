@@ -404,6 +404,25 @@ def test_verify_cert_fails_a_hom_image_witness_with_a_malformed_payload(files, c
         assert code == 1 and json.loads(out) == {"checked": 1, "failures": 1}
 
 
+@pytest.mark.parametrize("hom_kind", [5, None, ["bb"]], ids=["integer", "null", "list"])
+def test_verify_cert_rejects_a_hom_kind_that_is_no_json_string(files, capsys, hom_kind):
+    # replay compared it with "bb" and failed the claim, with exit 1
+    c4 = FlagComplex.from_json(_load(files["c4"]))
+    pres = build_P(c4, OmegaSet((EdgeLoop(("0", "1", "2", "3")),)), {0})
+    word = [["e:0:1", 1]]
+    witness = {"type": "hom_image", "hom_kind": "bb", "payload": c4.to_json(), "word": word,
+               "image": [["0", 1], ["1", -1]]}
+    claim = {"word": word, "verdict": {"status": "refuted", "certificate": witness}}
+    for path in _one_claim(files, "honest", claim, pres.to_json()):
+        assert run(["verify-cert", path], capsys) == (0, json.dumps({"checked": 1, "failures": 0}, indent=2) + "\n")
+    witness["hom_kind"] = hom_kind
+    for path in _one_claim(files, "hom-kind", claim, pres.to_json()):
+        code = main(["verify-cert", path])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("malformed report") and captured.err.count("\n") == 1
+
+
 def test_verify_cert_replays_an_enumeration_within_its_own_budget(files, capsys):
     # a forged budget of 10^9 cosets: replay stops at the checker's budget,
     # where the commutator group's table cannot complete; below the recorded
@@ -867,14 +886,10 @@ def test_verify_cert_rejects_a_certificate_number_that_is_no_json_integer(files,
     assert _malformed(files, capsys, racg_c5_h7_report)
 
 
-@pytest.mark.parametrize("forge", [
-    lambda c: c.update(coset=0.0),
-    lambda c: c.update(coset=False),
-    lambda c: c.update(n_cosets=float(c["n_cosets"])),
-    lambda c: c.update(n_cosets=str(c["n_cosets"])),
-    lambda c: c["budget"].update(max_cosets=2000.5),
-], ids=["coset-float", "coset-false", "n-cosets-float", "n-cosets-string", "budget-float"])
-def test_verify_cert_rejects_an_enumeration_number_that_is_no_json_integer(files, capsys, forge):
+@pytest.fixture
+def cube_h6_report(files, capsys):
+    """The report of `spectrum --graph cube.json --horizon 6`, which holds
+    coset-enumeration certificates and replays."""
     cube = {
         "vertices": [str(i) for i in range(8)],
         "edges": [[str(i), str(i ^ b)] for i in range(8) for b in (1, 2, 4) if i < i ^ b],
@@ -882,11 +897,27 @@ def test_verify_cert_rejects_an_enumeration_number_that_is_no_json_integer(files
     path = str(files["dir"] / "cube.json")
     argv = ["spectrum", "--graph", files["dump"]("cube-graph.json", cube), "--horizon", "6", "--out", path]
     assert run(argv, capsys)[0] == 0
-    report = _load(path)
-    certs = _certificates(report, "coset_enumeration")
-    assert certs and run(["verify-cert", path], capsys)[0] == 0
-    forge(certs[0])
-    assert _malformed(files, capsys, report)
+    assert _certificates(_load(path), "coset_enumeration") and run(["verify-cert", path], capsys)[0] == 0
+    return _load(path)
+
+
+@pytest.mark.parametrize("forge", [
+    lambda c: c.update(coset=0.0),
+    lambda c: c.update(coset=False),
+    lambda c: c.update(n_cosets=float(c["n_cosets"])),
+    lambda c: c.update(n_cosets=str(c["n_cosets"])),
+    lambda c: c["budget"].update(max_cosets=2000.5),
+], ids=["coset-float", "coset-false", "n-cosets-float", "n-cosets-string", "budget-float"])
+def test_verify_cert_rejects_an_enumeration_number_that_is_no_json_integer(files, capsys, cube_h6_report, forge):
+    forge(_certificates(cube_h6_report, "coset_enumeration")[0])
+    assert _malformed(files, capsys, cube_h6_report)
+
+
+@pytest.mark.parametrize("table_hash", [5, None, ["0" * 64]], ids=["integer", "null", "list"])
+def test_verify_cert_rejects_a_table_hash_that_is_no_json_string(files, capsys, cube_h6_report, table_hash):
+    # replay compared it with the table's hash and failed the claim, with exit 1
+    _certificates(cube_h6_report, "coset_enumeration")[0]["table_hash"] = table_hash
+    assert _malformed(files, capsys, cube_h6_report)
 
 
 @pytest.mark.parametrize("forge", [
@@ -1092,3 +1123,33 @@ def test_ball_of_a_cyclic_group_in_dot(capsys):
         'graph ball {\n  n0 [label="1"];\n  n1 [label="t"];\n  n2 [label="t^-1"];\n'
         "  n0 -- n1;\n  n0 -- n2;\n  n1 -- n2;\n}\n"
     )
+
+
+def test_kernel_search_without_a_word_and_with_unknowns_exits_3(files, capsys, monkeypatch):
+    """No small real input reaches this line: C4 with the chord 0-2, the
+    boundary square as Omega, s=0, t=0,2 and radius 4 under
+    cosets:1,deductions:1,depth:1 leaves 80 unknowns and no word, but the
+    search takes over 30 seconds.  So the search is substituted."""
+    from tautloop import cli
+    from tautloop.word_engine import KernelSearchResult
+
+    result = KernelSearchResult(False, None, None, 3, False, 80)
+    monkeypatch.setattr(cli, "kernel_shortest_element", lambda *args, **kwargs: result)
+    path = files["dir"] / "kernel.json"
+    argv = ["kernel-search", "--complex", files["c4"], "--omega", files["boundary"],
+            "--s", "0", "--t", "0,2", "--radius", "4", "--out", str(path)]
+    assert run(argv, capsys) == (3, "")
+    report = _load(path)
+    assert {k: report[k] for k in result.to_json()} == result.to_json() and report["bound_respected"]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda f, split: ["present", "p", "--complex", split, "--omega", f["dump"]("none.json", []), "--s", "0"],
+    lambda f, split: ["spectrum", "--graph", split, "--horizon", "4"],
+], ids=["present-p", "spectrum-graph"])
+def test_a_disconnected_complex_is_rejected_with_one_message(files, capsys, argv):
+    # present p printed "bad input: PresentationError: complex must be connected"
+    split = files["dump"]("split.json", {"vertices": list("0123"), "edges": [["0", "1"], ["2", "3"]]})
+    assert exit_code(argv(files, split)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "bad input: ComplexError: complex is disconnected\n"

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import per_letter_coding
 from tautloop import words
-from tautloop.complexes import EdgeLoop, OmegaSet, SimpleGraph, flag_completion
+from tautloop.complexes import ComplexError, EdgeLoop, OmegaSet, SimpleGraph, flag_completion
 from tautloop.normal_forms import bb_image
 from tautloop.presentations import (
     GroupPresentation,
@@ -267,5 +267,19 @@ def test_encode_rejects_a_letter_whose_exponent_is_not_one(letter):
 
 def test_build_P_rejects_a_disconnected_complex():
     split = flag_completion(SimpleGraph.build(list("0123"), [("0", "1"), ("2", "3")]))
-    with pytest.raises(PresentationError, match="^complex must be connected$"):
+    with pytest.raises(ComplexError, match="^complex is disconnected$"):
         build_P(split, OmegaSet(()), {0})
+
+
+def test_build_P_checks_S_then_connectivity_then_omega():
+    split = flag_completion(SimpleGraph.build(list("0123"), [("0", "1"), ("2", "3")]))
+    foreign = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))
+    with pytest.raises(PresentationError, match="requires 0 in S"):
+        build_P(split, foreign, {2})
+    with pytest.raises(ComplexError, match="^complex is disconnected$"):
+        build_P(split, foreign, {0})
+    with pytest.raises(ComplexError, match="missing edge"):
+        build_P(C4, OmegaSet((EdgeLoop(("0", "1", "3")),)), {0})
+    # the empty complex has no basepoint, and builds the trivial group
+    empty = build_P(flag_completion(SimpleGraph.build([], [])), OmegaSet(()), {0})
+    assert empty.generators == () and empty.relators == ()

@@ -19,8 +19,16 @@ from tautloop.cayley import (
     ZModOracle,
     closed_walks,
 )
-from tautloop.complexes import ComplexError, SimpleGraph, edge_symbol, flag_completion, pi1_presentation
-from tautloop.presentations import GroupPresentation, build_RACG, truncated_presentation
+from tautloop.complexes import (
+    ComplexError,
+    EdgeLoop,
+    OmegaSet,
+    SimpleGraph,
+    edge_symbol,
+    flag_completion,
+    pi1_presentation,
+)
+from tautloop.presentations import GroupPresentation, Homomorphism, build_P, build_RACG, truncated_presentation
 from tautloop.spectrum import (
     NOT_RELATED,
     NOT_TAUT,
@@ -41,15 +49,21 @@ from tautloop.spectrum import (
 from tautloop.word_engine import (
     PROVED,
     REFUTED,
+    BBImageHom,
     Budget,
     CosetEnumerationCertificate,
+    FreeReductionCertificate,
+    HomImageWitness,
     NormalClosureDerivation,
     QuotientWitness,
     WordProblemEngine,
+    certificate_from_json,
+    kernel_shortest_element,
     verify_certificate,
 )
 from tautloop.words import canonical_cyclic
 
+import per_class_certificate_json
 import per_letter_shortcuts
 import per_loop_spectrum
 import whole_ball_reference
@@ -354,7 +368,7 @@ def assert_derived_bytes(make, old_sha, new_sha):
 # the format-2 Spectrum.dumps() derived from it.  For pi1_presentation(...):
 # the SHA-256 of its dumps(), computed while it still rewrote its triangles
 # itself.
-@pytest.mark.parametrize("make, shas", [
+FROZEN_BYTES = [
     (lambda: spectrum_of_graph(generalized_petersen(5, 2), 10),
      ("e1cda1b6bca2b2f82b8b48c746fe4affba90035c087c5440d51b87786e326f3d",
       "a37f1bfe0bfff7abac8efa4a8cf82b659b82428d608779c1cfb0d626dbd42f28")),
@@ -399,16 +413,91 @@ def assert_derived_bytes(make, old_sha, new_sha):
      ("f8f38b7020934ca724bd24b5eb7df9130134a6572d2ffaec26f9d3f213d1cc8d",)),
     (lambda: pi1_presentation(flag_completion(PENTAGON_WITH_CHORD)),
      ("0abd6e6c397d3b4a9918276a6ff19cd37e7c7ca7e2fd4b0e418d1ce8246312c0",)),
-], ids=[
+]
+FROZEN_IDS = [
     "petersen-10", "heawood-10", "mobius-kantor-10", "cube-10", "K4-8", "K33-8", "theta-8",
     "racg-c4-7", "racg-c5-7", "racg-p4-7", "raag-c4-6", "bb-c4-6",
     "pi1-c4", "pi1-K33", "pi1-octahedron", "pi1-pentagon-chord",
-])
+]
+
+
+@pytest.mark.parametrize("make, shas", FROZEN_BYTES, ids=FROZEN_IDS)
 def test_frozen_spectrum_bytes(make, shas):
     if len(shas) == 2:
         assert_derived_bytes(make, *shas)
     else:
         assert _sha(make().dumps()) == shas[0]
+
+
+@pytest.fixture(scope="module")
+def certificates():
+    """Every certificate of the frozen spectra and of the kernel search
+    P(C4,{0}) -> P(C4,{0,2}) to radius 8, then one of each kind by hand."""
+    certs = [c.state.certificate for make, shas in FROZEN_BYTES if len(shas) == 2
+             for s in make().statuses for c in s.claims if c.state.certificate is not None]
+    c4 = flag_completion(cycle_graph(4))
+    omega = OmegaSet((EdgeLoop(("0", "1", "2", "3")),))
+    p_s, p_t = build_P(c4, omega, {0}), build_P(c4, omega, {0, 2})
+    homs = (BBImageHom(c4),)
+    found = kernel_shortest_element(p_s, p_t, Homomorphism.identity_on_generators(p_s, p_t), 8,
+                                    Budget(200, 20_000, 1), homs_s=homs, homs_t=homs)
+    a, b = ("a", 1), ("b", 1)
+    return certs + [found.target_certificate, found.source_certificate] + [
+        FreeReductionCertificate((a, ("a", -1))),
+        QuotientWitness(2, (("a", (1, 0)), ("b", (0, 1))), (a, b)),
+        NormalClosureDerivation((a, a), ((0, (("a", -1), ("a", -1))),)),
+        CosetEnumerationCertificate(Budget(50, 2000, 1), 2, "0" * 64, (a, a), 0),
+        HomImageWitness("bb", c4.to_json(), (("e:0:1", 1),), (("0", 1), ("1", -1))),
+    ]
+
+
+def test_certificate_json_equals_the_per_class_reference(certificates):
+    assert {type(c) for c in certificates} == set(word_engine.CERT_TYPES.values())
+    for cert in certificates:
+        data = cert.to_json()
+        assert data == per_class_certificate_json.to_json(cert)
+        assert certificate_from_json(data) == cert == per_class_certificate_json.from_json(data)
+
+
+# one value of each JSON type, and the type each certificate field is read as
+WRONG_VALUES = {"null": None, "boolean": True, "integer": 7, "float": 2.5, "string": "7", "list": [], "object": {}}
+FIELD_TYPES = {
+    "word": "list", "image": "list", "steps": "list", "images": "object", "budget": "object", "payload": "object",
+    "degree": "integer", "n_cosets": "integer", "coset": "integer", "table_hash": "string", "hom_kind": "string",
+}
+
+
+def _raised(read, data):
+    try:
+        read(data)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:  # what the CLI reads as malformed
+        return type(exc)
+    return None
+
+
+def test_certificate_readers_reject_the_same_malformed_fields(certificates):
+    """A field left out, or given a value of another JSON type, is rejected
+    by the library and the per-class reference with the same exception
+    class; only the two string fields differ, which the reference took as
+    any value.  A payload of any type is read, since replay decides whether
+    it is a complex, and steps given as an object read as no steps."""
+    accepted = set()
+    for cert in {type(c): c for c in certificates}.values():
+        honest = cert.to_json()
+        assert honest.keys() - {"type"} <= FIELD_TYPES.keys()
+        for name in honest.keys() - {"type"}:
+            corpus = {"missing": {k: v for k, v in honest.items() if k != name}}
+            corpus.update((t, dict(honest, **{name: v})) for t, v in WRONG_VALUES.items() if t != FIELD_TYPES[name])
+            for label, data in corpus.items():
+                ours = _raised(certificate_from_json, data)
+                theirs = _raised(per_class_certificate_json.from_json, data)
+                if name in ("table_hash", "hom_kind") and label != "missing":
+                    assert (ours, theirs) == (TypeError, None), (name, label)
+                else:
+                    assert ours == theirs, (name, label)
+                if ours is None:
+                    accepted.add((name, label))
+    assert accepted == {("payload", t) for t in WRONG_VALUES if t != "object"} | {("steps", "object")}
 
 
 def test_raag_c4_spectrum_to_eight(engine_words):
